@@ -21,8 +21,8 @@ outcome probabilities of multiply-occupied bosonic modes sum to one.
 
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -219,13 +219,18 @@ def canonicalize(ops, statistics: Statistics):
                 return 0, None
         return sign, Monomial(tuple((m, 1) for m in ops))
     ops.sort(key=Mode.order_key)
+    return 1, _grouped(ops)
+
+
+def _grouped(ops) -> Monomial:
+    """The monomial of a canonically sorted operator list; repeats become occupations."""
     entries: list[tuple[Mode, int]] = []
     for m in ops:
         if entries and entries[-1][0] == m:
             entries[-1] = (m, entries[-1][1] + 1)
         else:
             entries.append((m, 1))
-    return 1, Monomial(tuple(entries))
+    return Monomial(tuple(entries))
 
 
 @dataclass
@@ -288,29 +293,51 @@ def apply_creation(state: StateVector, mode: Mode) -> StateVector:
 def substitute(state: StateVector, transform) -> StateVector:
     """Rewrite every creation operator through a mode transform.
 
-    Each a_m^dag is replaced by sum_n T[n, m] a_n^dag, products are expanded
-    distributively and re-canonicalized, and like monomials merge.  The
-    transform only needs ``basis`` and ``columns`` attributes (see
-    ``elements.ModeTransform``).
+    Each a_m^dag is replaced by sum_n T[n, m] a_n^dag and like monomials
+    merge.  The transform only needs ``basis`` and ``columns`` attributes
+    (see ``elements.ModeTransform``).
+
+    Each input monomial is expanded one factor at a time, right to left:
+    every partial product is left-multiplied by the next factor's column
+    and like partial products merge before the following factor.  Partial
+    products are sorted tuples of mode ranks in canonical (``order_key``)
+    order, so a left insertion at position p crosses p operators: fermions
+    pick up (-1)**p and vanish on a repeated rank, other statistics just
+    insert.  Work therefore grows with the number of distinct partial
+    products (at most C(m + N - 1, N) for N particles in m modes, C(m, N)
+    for fermions) times the column size, not with the m^N terms of the
+    full distributive expansion.
     """
-    stats = state.statistics
+    fermion = state.statistics is Statistics.FERMION
     basis = transform.basis
-    columns = transform.columns
-    out: dict = {}
+    ranked = sorted(basis.modes, key=Mode.order_key)
+    rank = {m: r for r, m in enumerate(ranked)}
+    columns: dict = {}
+    merged: dict = {}
     for mono, amp in state.terms.items():
-        if not mono.entries:
-            out[VACUUM] = out.get(VACUUM, 0.0) + amp
-            continue
-        expansions = [columns[basis.index_of(m)] for m in mono.ops()]
-        for combo in itertools.product(*expansions):
-            weight = amp
-            for _, v in combo:
-                weight *= v
-            sign, new = canonicalize([m for m, _ in combo], stats)
-            if new is None:
-                continue
-            out[new] = out.get(new, 0.0) + sign * weight
-    return StateVector(stats, out, state.prune_tolerance)
+        partial = {(): amp}
+        for mode in reversed(mono.ops()):
+            k = basis.index_of(mode)
+            column = columns.get(k)
+            if column is None:
+                column = [(rank[m], complex(v)) for m, v in transform.columns[k]]
+                columns[k] = column
+            grown: dict = {}
+            for ranks, weight in partial.items():
+                for r, v in column:
+                    pos = bisect_left(ranks, r)
+                    if fermion:
+                        if pos < len(ranks) and ranks[pos] == r:
+                            continue
+                        if pos % 2:
+                            v = -v
+                    key = ranks[:pos] + (r,) + ranks[pos:]
+                    grown[key] = grown.get(key, 0.0) + weight * v
+            partial = grown
+        for ranks, weight in partial.items():
+            merged[ranks] = merged.get(ranks, 0.0) + weight
+    out = {_grouped([ranked[r] for r in ranks]): w for ranks, w in merged.items()}
+    return StateVector(state.statistics, out, state.prune_tolerance)
 
 
 def amplitude(state: StateVector, outcome: Monomial) -> complex:

@@ -94,12 +94,36 @@ def _dial_quadruple(text: str) -> tuple[float, float, float, float]:
     return tuple(parse_phase(p) for p in parts)
 
 
+def _tolerance(text: str) -> float:
+    """A finite positive float: nan, inf or <= 0 would disable or break every check."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
+def _trials(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON record")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument(
-        "--tolerance", type=float, default=1e-9, help="numeric invariant tolerance"
+        "--tolerance",
+        type=_tolerance,
+        default=1e-9,
+        help="numeric invariant tolerance, finite and positive",
     )
 
     phases = argparse.ArgumentParser(add_help=False)
@@ -161,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--dofs", type=int, help="degrees of freedom per particle")
     g.add_argument("--copies", type=int, help="hypothetical clones per measurement")
-    p.add_argument("--mc", type=int, metavar="TRIALS", help="add a Monte Carlo estimate")
+    p.add_argument(
+        "--mc", type=_trials, metavar="TRIALS", help="add a Monte Carlo estimate (TRIALS >= 1)"
+    )
 
     p = sub.add_parser("cascade", parents=[common], help="sorter cascade readout")
     p.add_argument("--dofs", type=int, default=2)

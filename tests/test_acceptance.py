@@ -72,6 +72,7 @@ from fockflow.experiments import (
     sorter_cascade,
     swap_circuit,
 )
+from reference import reference_substitute
 
 TOL_EXACT = 1e-12
 TOL_TABLE = 1e-9
@@ -317,6 +318,18 @@ def state_st(draw, statistics=None):
     return out
 
 
+@st.composite
+def mixed_state_st(draw, statistics, basis):
+    """One to three weighted terms of zero to four operators; zero is the vacuum."""
+    out = scale(vacuum(statistics), 0.0)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        term = vacuum(statistics)
+        for mode in draw(st.lists(st.sampled_from(basis.modes), max_size=4)):
+            term = apply_creation(term, mode)
+        out = add(out, scale(term, draw(SCALARS)))
+    return out
+
+
 @pytest.mark.criterion(8, "algebra properties hold over 1000+ generated cases each")
 class TestAlgebraProperties:
     @PROP
@@ -394,6 +407,18 @@ class TestAlgebraProperties:
         assume(state.terms)
         final = substitute(state, data.draw(transform_st(basis=basis)))
         assert abs(completeness(final, basis) - 1.0) < TOL_TABLE
+
+    @PROP
+    @given(data=st.data())
+    def test_substitution_matches_full_expansion(self, data):
+        stats = data.draw(STATS)
+        basis = SPECIES_BASIS if stats is Statistics.DISTINGUISHABLE else BASIS
+        state = data.draw(mixed_state_st(stats, basis))
+        t = data.draw(transform_st(basis=basis))
+        got = substitute(state, t)
+        want = reference_substitute(state, t)
+        for mono in set(got.terms) | set(want.terms):
+            assert abs(got.terms.get(mono, 0j) - want.terms.get(mono, 0j)) < TOL_TABLE
 
 
 @pytest.mark.criterion(9, "circuit files round-trip, compile to the hardcoded circuits, flag mutations")

@@ -1,5 +1,6 @@
 """Unit tests for the second-quantized state algebra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -23,10 +24,31 @@ from fockflow.algebra import (
     substitute,
     vacuum,
 )
-from fockflow.elements import identity, hybrid_beam_splitter
+from fockflow.elements import ModeTransform, identity, hybrid_beam_splitter
+from reference import reference_substitute
 
 BASIS = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U"))
 POLAR = ModeBasis(internals=("H", "V"), externals=("L", "D", "R", "U"))
+
+
+def random_unitary(n, seed):
+    """Haar-random n x n unitary: QR of a complex Gaussian, phases fixed."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def ryser_permanents(mats):
+    """Permanents of a stack of k x k matrices by Ryser's inclusion-exclusion formula.
+
+    perm(A) = (-1)^k sum over column subsets S of (-1)^|S| prod_i sum_{j in S} A[i, j].
+    """
+    k = mats.shape[-1]
+    subsets = np.array(list(itertools.product((0, 1), repeat=k))).T  # k x 2^k
+    signs = (-1.0) ** (k - subsets.sum(axis=0))
+    row_sums = mats @ subsets  # (..., k, 2^k)
+    return np.prod(row_sums, axis=-2) @ signs
 
 
 def mono(*pairs):
@@ -205,6 +227,54 @@ class TestSubstitute:
         st = apply_creation(st, BASIS.mode("down", "R"))
         out = substitute(st, beam_splitter(BASIS, "L", "R"))
         assert outcome_probability(out, mono(("down", "L"), ("down", "R"))) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("stats", list(Statistics))
+    def test_non_ascending_species_stay_canonical(self, stats):
+        # rank order (species ascending) differs from the basis enumeration here
+        basis = ModeBasis(internals=("h", "v"), externals=("L", "R"), species=(2, 1))
+        t = ModeTransform(basis, random_unitary(len(basis), seed=11))
+        st = scale(vacuum(stats), 0.5)
+        for modes in ([(2, "h", "L"), (1, "v", "R")], [(1, "h", "L"), (2, "v", "L"), (1, "h", "R")]):
+            term = vacuum(stats)
+            for sp, i, e in modes:
+                term = apply_creation(term, basis.mode(i, e, species=sp))
+            st = add(st, term)
+        out = substitute(st, t)
+        want = reference_substitute(st, t)
+        assert all(m.is_canonical() for m in out.terms)
+        assert set(out.terms) == set(want.terms)
+        for m, a in want.terms.items():
+            assert abs(out.terms[m] - a) < 1e-12
+
+    @pytest.mark.parametrize("stats", [Statistics.BOSON, Statistics.FERMION])
+    def test_six_particles_match_permanent_and_determinant(self, stats):
+        # 6 particles on a random 12-mode unitary: the m^N expansion would
+        # enumerate 12^6 products; every outcome is checked against the closed form
+        basis = ModeBasis(internals=("a", "b"), externals=("p0", "p1", "p2", "p3", "p4", "p5"))
+        u = random_unitary(len(basis), seed=6)
+        inputs = [0, 2, 4, 7, 9, 11]
+        st = vacuum(stats)
+        for k in reversed(inputs):
+            st = apply_creation(st, basis.modes[k])
+        out = substitute(st, ModeTransform(basis, u))
+        assert norm_squared(out) == pytest.approx(1.0, abs=1e-12)
+        index = {m.order_key(): k for k, m in enumerate(basis.modes)}
+        got = {
+            tuple(index[m.order_key()] for m in mono.ops()): abs(a) ** 2 * mono.norm_factor()
+            for mono, a in out.terms.items()
+        }
+        if stats is Statistics.BOSON:
+            outcomes = list(itertools.combinations_with_replacement(range(len(basis)), 6))
+            rows = np.array(outcomes)
+            occupations = (rows[:, :, None] == np.arange(len(basis))).sum(axis=1)
+            norms = np.array([math.factorial(n) for n in range(7)])[occupations].prod(axis=1)
+            expected = np.abs(ryser_permanents(u[rows][:, :, inputs])) ** 2 / norms
+        else:
+            outcomes = list(itertools.combinations(range(len(basis)), 6))
+            expected = np.abs(np.linalg.det(u[np.array(outcomes)][:, :, inputs])) ** 2
+        assert set(got) <= set(outcomes)
+        worst = max(abs(got.get(o, 0.0) - p) for o, p in zip(outcomes, expected))
+        assert worst < 1e-12
 
 
 class TestOutcomeProbability:

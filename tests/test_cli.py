@@ -95,6 +95,19 @@ class TestTable:
         assert code == 4  # treated as a path and not found
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf", "abc"])
+    def test_rejects_non_positive_or_non_finite(self, capsys, value):
+        code, out, err = run(capsys, "table", "hh", "--tolerance", value)
+        assert code == 2
+        assert out == ""
+        assert "--tolerance" in err
+
+    def test_accepts_a_looser_tolerance(self, capsys):
+        rec = run_json(capsys, "table", "hh", "--tolerance", "1e-6")
+        assert rec["metadata"]["tolerance"] == 1e-6
+
+
 class TestChsh:
     def test_fermion_default_quadruple(self, capsys):
         rec = run_json(capsys, "chsh", "hh")
@@ -182,6 +195,13 @@ class TestSignal:
     def test_invalid_count(self, capsys):
         code, _, err = run(capsys, "signal", "--dofs", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("trials", ["-5", "0", "x"])
+    def test_mc_needs_a_positive_trial_count(self, capsys, trials):
+        code, out, err = run(capsys, "signal", "--dofs", "3", "--mc", trials)
+        assert code == 2
+        assert out == ""
+        assert "--mc" in err
 
     def test_requires_exactly_one_variant(self, capsys):
         assert main(["signal"]) == 2
