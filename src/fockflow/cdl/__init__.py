@@ -1,6 +1,6 @@
 """Circuit description language: lex, parse, compile, pretty-print."""
 
-from .compiler import CompiledCircuit, compile_circuit, execute
+from .compiler import CompiledCircuit, compile_circuit, execute, rebin
 from .lexer import KEYWORDS, LexError, Token, tokenize
 from .parser import (
     BinDecl,
@@ -46,5 +46,6 @@ __all__ = [
     "parse",
     "parse_source",
     "pretty_print",
+    "rebin",
     "tokenize",
 ]

@@ -81,6 +81,27 @@ def execute(compiled: CompiledCircuit) -> StateVector:
     return substitute(compiled.initial, total)
 
 
+def rebin(compiled: CompiledCircuit, party: str, kind: str) -> MeasurementPartition:
+    """One party's measured modes regrouped by port or by internal label.
+
+    ``kind`` "external" makes one bin per port, in the order the ports first
+    appear in the party's measure statement; "internal" makes one bin per
+    internal label, in declaration order.
+    """
+    modes = compiled.partitions[party].mode_union()
+    if kind == "external":
+        measure = next(m for m in compiled.tree.measures if m.party == party)
+        labels = dict.fromkeys(a.external.name for b in measure.bins for a in b.atoms)
+    elif kind == "internal":
+        labels = compiled.basis.internals
+    else:
+        raise ValueError(f"kind must be 'internal' or 'external', got {kind!r}")
+    bins = tuple(
+        (lab, frozenset(m for m in modes if getattr(m, kind).name == lab)) for lab in labels
+    )
+    return MeasurementPartition(party, kind, bins)
+
+
 def _compile_element(el, basis: ModeBasis, params: dict) -> ModeTransform:
     if isinstance(el, SplitterStmt):
         build = hybrid_beam_splitter if el.kind == "hbs" else beam_splitter

@@ -3,37 +3,57 @@
 Subcommands: table, chsh, sweep, signal, cascade, check. Every
 subcommand accepts --json (machine output, schema version 1), --seed,
 and --tolerance. Exit codes: 0 success, 2 input error, 3 numeric
-invariant failure, 4 I/O failure.
+invariant failure (including a final-state norm off 1 by more than
+--tolerance), 4 I/O failure.
 
 Phases are radians and accept the same constant expressions as the
 circuit language (``pi/4``, ``-0.5``; write ``--phase-d=-pi/4`` so the
-leading minus is not read as an option). A circuit argument is either a
-built-in name (hyperhybrid, hh, swap) or a path to a ``.cdl`` file; file
-circuits get their four standard phases bound to the parameters
-``$phiL $phiD $phiR $phiU`` and may take extra ``--param name=value``
-bindings.
+leading minus is not read as an option). A circuit argument is a path to
+a ``.cdl`` file or a name for a bundled one: ``hh``/``hyperhybrid`` is
+``examples/hh_<stats>.cdl`` (fermion by default) and ``swap`` is
+``examples/swap.cdl``. The four standard phases are bound to the
+parameters ``$phiL $phiD $phiR $phiU``; ``--param name=value`` binds
+more. ``--kind`` re-bins each party's measured modes by path (ports in
+the order the party's measure line first names them) or by spin
+(internal labels in declaration order); without it a circuit is read
+out with its own bins, and its kind is reported in the same path/spin
+vocabulary. ``chsh`` and ``sweep`` need bin labels inside the sign map
+and some coincidence mass at every point they correlate.
+``sweep --steps`` is capped at MAX_SWEEP_STEPS and ``cascade --dofs`` at
+MAX_CASCADE_DOFS; larger values exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import Statistics
+from .algebra import norm_squared
 from .analysis import (
     DEFAULT_SIGNS,
     ChshSettings,
+    ZeroCoincidenceMass,
     chsh_grid_search,
     chsh_value,
     coincidence_table,
     completeness,
     correlation,
+    sweep,
 )
-from .cdl import LexError, ParseError, SemanticError, compile_circuit, execute, parse_source
+from .cdl import (
+    LexError,
+    ParseError,
+    SemanticError,
+    compile_circuit,
+    execute,
+    parse_source,
+    rebin,
+)
 from .cdl.lexer import tokenize
 from .experiments import (
     RNG_ID,
@@ -43,21 +63,18 @@ from .experiments import (
     X_PLUS,
     Z_ONE,
     Z_ZERO,
-    dial_runner,
     dial_settings,
-    run_circuit,
-    run_table,
     signaling_decode_exact,
     signaling_decode_mc,
     sorter_cascade,
 )
 
-NAMED_CIRCUITS = ("hyperhybrid", "hh", "swap")
-_STATS = {
-    "fermion": Statistics.FERMION,
-    "boson": Statistics.BOSON,
-    "distinguishable": Statistics.DISTINGUISHABLE,
-}
+MAX_SWEEP_STEPS = 16  # 16^4 = 65,536 circuit runs
+MAX_CASCADE_DOFS = 16  # sorter_cascade tabulates 2^dofs outcome strings
+_EXAMPLES = Path(__file__).resolve().parent / "examples"
+_KINDS = {"path": "external", "spin": "internal"}
+_KIND_NAMES = {v: k for k, v in _KINDS.items()}
+_STATS = ("boson", "distinguishable", "fermion")
 _CLONE_STATES = {"z0": Z_ZERO, "z1": Z_ONE, "x+": X_PLUS, "x-": X_MINUS}
 
 
@@ -137,7 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=_param_binding,
         default=None,
         metavar="NAME=EXPR",
-        help="extra $parameter bindings for file circuits",
+        help="extra $parameter bindings",
+    )
+
+    circuit = argparse.ArgumentParser(add_help=False)
+    circuit.add_argument("circuit", help="hyperhybrid | hh | swap | path/to/file.cdl")
+    circuit.add_argument("--stats", choices=_STATS, help="must match the file's; picks the hh file")
+    circuit.add_argument(
+        "--kind",
+        choices=("path-path", "spin-spin", "spin-path", "path-spin"),
+        help="which pair of degrees of freedom the parties read out",
     )
 
     parser = argparse.ArgumentParser(
@@ -147,21 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fockflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", parents=[common, phases], help="coincidence table")
-    p.add_argument("circuit", help="hyperhybrid | hh | swap | path/to/file.cdl")
-    p.add_argument("--stats", choices=sorted(_STATS))
-    p.add_argument(
-        "--kind",
-        choices=("path-path", "spin-spin", "spin-path", "path-spin"),
-        help="which pair of degrees of freedom the parties read out",
-    )
+    sub.add_parser("table", parents=[circuit, common, phases], help="coincidence table")
 
-    p = sub.add_parser("chsh", parents=[common, phases], help="CHSH combination")
-    p.add_argument("circuit")
-    p.add_argument("--stats", choices=sorted(_STATS))
-    p.add_argument(
-        "--kind", choices=("path-path", "spin-spin", "spin-path", "path-spin")
-    )
+    p = sub.add_parser("chsh", parents=[circuit, common, phases], help="CHSH combination")
     p.add_argument(
         "--dials",
         type=_dial_quadruple,
@@ -172,12 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--search", action="store_true", help="grid-search dials at pi/8 steps"
     )
 
-    p = sub.add_parser("sweep", parents=[common], help="CSV phase sweep")
-    p.add_argument("circuit")
-    p.add_argument("--stats", choices=sorted(_STATS))
-    p.add_argument(
-        "--kind", choices=("path-path", "spin-spin", "spin-path", "path-spin")
-    )
+    p = sub.add_parser("sweep", parents=[circuit, common], help="CSV phase sweep")
     p.add_argument("--steps", type=int, default=9, help="grid points per phase axis")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
 
@@ -254,51 +263,64 @@ def _read_tree(path: str):
         raise _InputError(f"{path}: {e}") from e
 
 
-def _run_tree(tree, path: str, settings: PhaseSettings, extra_params):
-    params = dict(_phases_dict(settings))
-    params.update(dict(extra_params or []))
-    try:
-        compiled = compile_circuit(tree, params=params)
-        state = execute(compiled)
-    except ValueError as e:
-        raise _InputError(f"{path}: {e}") from e
-    parts = compiled.partitions
-    if "A" not in parts or "B" not in parts:
-        raise _InputError(f"{path}: file must measure both parties A and B")
-    return compiled, state
+def _circuit_path(args) -> str:
+    """The file a circuit argument stands for; names pick a bundled example."""
+    if args.circuit in ("hh", "hyperhybrid"):
+        return str(_EXAMPLES / f"hh_{args.stats or 'fermion'}.cdl")
+    if args.circuit == "swap":
+        return str(_EXAMPLES / "swap.cdl")
+    return args.circuit
 
 
-def _named_defaults(name: str, args):
-    if name == "swap":
-        stats = _STATS[args.stats] if args.stats else Statistics.BOSON
-        kind = args.kind or "spin-path"
-    else:
-        stats = _STATS[args.stats] if args.stats else Statistics.FERMION
-        kind = args.kind or "path-path"
-    return stats, kind
+def _runner(args, signed: bool = False):
+    """Parse the circuit once: (statistics, kind, (part A, part B), run).
 
-
-def _circuit_table(args, settings: PhaseSettings):
-    """(statistics-name, table, completeness) for a named or file circuit."""
-    if args.circuit in NAMED_CIRCUITS:
-        stats, kind = _named_defaults(args.circuit, args)
-        try:
-            run = run_circuit(args.circuit, stats, settings)
-            table = run_table(run, kind)
-        except ValueError as e:
-            raise _InputError(str(e)) from e
-        return stats.name.lower(), kind, table, completeness(run, run.basis)
-    tree = _read_tree(args.circuit)
+    ``run(settings)`` compiles at those phases, executes, checks the norm
+    against --tolerance and returns (compiled, state, coincidence table).
+    ``signed`` rejects bin labels outside the correlation sign map.
+    """
+    path = _circuit_path(args)
+    tree = _read_tree(path)
     if args.stats and args.stats != tree.statistics:
         raise _InputError(
             f"--stats {args.stats} conflicts with the file's"
             f" 'statistics {tree.statistics}'"
         )
-    compiled, state = _run_tree(tree, args.circuit, settings, args.param)
-    parts = compiled.partitions
-    table = coincidence_table(state, parts["A"], parts["B"])
-    kind = f"{parts['A'].kind}-{parts['B'].kind}"
-    return tree.statistics, kind, table, completeness(state, compiled.basis)
+    extra = dict(getattr(args, "param", None) or [])
+
+    def compiled_at(settings: PhaseSettings):
+        try:
+            return compile_circuit(tree, params={**_phases_dict(settings), **extra})
+        except ValueError as e:
+            raise _InputError(f"{path}: {e}") from e
+
+    first = compiled_at(PhaseSettings())
+    if "A" not in first.partitions or "B" not in first.partitions:
+        raise _InputError(f"{path}: file must measure both parties A and B")
+    if args.kind:
+        parts = tuple(
+            rebin(first, party, _KINDS[word]) for party, word in zip("AB", args.kind.split("-"))
+        )
+    else:
+        parts = (first.partitions["A"], first.partitions["B"])
+    kind = "-".join(_KIND_NAMES[part.kind] for part in parts)
+    if signed:
+        missing = [lab for part in parts for lab in part.labels() if lab not in DEFAULT_SIGNS]
+        if missing:
+            raise _InputError(f"{path}: bin labels {missing} are not in the sign map")
+
+    def run(settings: PhaseSettings):
+        compiled = compiled_at(settings)
+        try:
+            state = execute(compiled)
+        except ValueError as e:
+            raise _InputError(f"{path}: {e}") from e
+        n2 = norm_squared(state)
+        if abs(n2 - 1.0) > args.tolerance:
+            raise _NumericFailure(f"final state norm^2 = {n2!r}, expected 1")
+        return compiled, state, coincidence_table(state, *parts)
+
+    return tree.statistics, kind, parts, run
 
 
 def _format_table(table) -> list[str]:
@@ -315,7 +337,9 @@ def _format_table(table) -> list[str]:
 
 def cmd_table(args) -> int:
     settings = PhaseSettings(args.phase_l, args.phase_d, args.phase_r, args.phase_u)
-    stats_name, kind, table, comp = _circuit_table(args, settings)
+    stats_name, kind, _, run = _runner(args)
+    compiled, state, table = run(settings)
+    comp = completeness(state, compiled.basis)
     if abs(comp - 1.0) > args.tolerance:
         raise _NumericFailure(f"outcome probabilities sum to {comp!r}, not 1")
     try:
@@ -341,30 +365,12 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _dial_runner_for(args):
-    if args.circuit in NAMED_CIRCUITS:
-        stats, kind = _named_defaults(args.circuit, args)
-        try:
-            runner = dial_runner(args.circuit, stats, kind)
-            runner(0.0, 0.0)  # surface construction errors early
-        except ValueError as e:
-            raise _InputError(str(e)) from e
-        return stats.name.lower(), kind, runner
-
-    tree = _read_tree(args.circuit)
+def cmd_chsh(args) -> int:
+    stats_name, kind, _, run = _runner(args, signed=True)
 
     def runner(a, b):
-        compiled, state = _run_tree(tree, args.circuit, dial_settings(a, b), args.param)
-        parts = compiled.partitions
-        return coincidence_table(state, parts["A"], parts["B"])
+        return run(dial_settings(a, b))[2]
 
-    first = _run_tree(tree, args.circuit, dial_settings(0.0, 0.0), args.param)[0]
-    kind = f"{first.partitions['A'].kind}-{first.partitions['B'].kind}"
-    return tree.statistics, kind, runner
-
-
-def cmd_chsh(args) -> int:
-    stats_name, kind, runner = _dial_runner_for(args)
     if args.search:
         grid = [k * math.pi / 8 for k in range(16)]
         best, settings = chsh_grid_search(runner, grid)
@@ -402,38 +408,27 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.circuit not in NAMED_CIRCUITS:
-        raise _InputError("sweep runs over the built-in circuits (hyperhybrid, hh, swap)")
-    if args.steps < 0:
-        raise _InputError("--steps must be nonnegative")
-    stats, kind = _named_defaults(args.circuit, args)
+    if not 0 <= args.steps <= MAX_SWEEP_STEPS:
+        raise _InputError(f"--steps must be between 0 and {MAX_SWEEP_STEPS}")
+    _, kind, (part_a, part_b), run = _runner(args, signed=True)
     values = [k * 2 * math.pi / args.steps for k in range(args.steps)]
-    rows = ["phiL,phiD,phiR,phiU,kind,p00,p01,p10,p11,E"]
+    grid = [PhaseSettings(*phases) for phases in itertools.product(values, repeat=4)]
+    records = sweep(lambda settings: run(settings)[2], grid)
 
     def fmt(x: float) -> str:
         return "%.17g" % x
 
-    for pl in values:
-        for pd in values:
-            for pr in values:
-                for pu in values:
-                    settings = PhaseSettings(pl, pd, pr, pu)
-                    run = run_circuit(args.circuit, stats, settings)
-                    table = run_table(run, kind)
-                    sums = table.probs.sum(axis=1)
-                    if any(abs(s - 0.25) > args.tolerance for s in sums):
-                        raise _NumericFailure(
-                            f"row sums {list(sums)} off 1/4 at phases "
-                            f"({pl}, {pd}, {pr}, {pu})"
-                        )
-                    e_value = correlation(table)
-                    rows.append(
-                        ",".join(
-                            [fmt(pl), fmt(pd), fmt(pr), fmt(pu), kind]
-                            + [fmt(c) for c in table.probs.ravel()]
-                            + [fmt(e_value)]
-                        )
-                    )
+    cells = [f"p{i}{j}" for i in range(len(part_a.bins)) for j in range(len(part_b.bins))]
+    rows = [",".join(["phiL,phiD,phiR,phiU,kind", *cells, "E"])]
+    for rec in records:
+        ph = rec.settings
+        rows.append(
+            ",".join(
+                [fmt(ph.phi_l), fmt(ph.phi_d), fmt(ph.phi_r), fmt(ph.phi_u), kind]
+                + [fmt(c) for c in rec.table.probs.ravel()]
+                + [fmt(rec.correlation)]
+            )
+        )
     text = "\n".join(rows) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
@@ -446,14 +441,15 @@ def cmd_signal(args) -> int:
     kwargs = {"dofs": args.dofs} if args.dofs is not None else {"copies": args.copies}
     try:
         exact = signaling_decode_exact(**kwargs)
+        if args.mc:
+            est, err = signaling_decode_mc(trials=args.mc, seed=args.seed, **kwargs)
     except ValueError as e:
         raise _InputError(str(e)) from e
     label = "dofs" if args.dofs is not None else "copies"
     count = args.dofs if args.dofs is not None else args.copies
-    lines = [f"signal {label}={count}", f"exact {float(exact):.12f} ({exact})"]
-    values = {"variant": label, "count": count, "exact": float(exact)}
+    lines = [f"signal {label}={count}", f"exact {exact:.12f} ({exact})"]
+    values = {"variant": label, "count": count, "exact": exact}
     if args.mc:
-        est, err = signaling_decode_mc(trials=args.mc, seed=args.seed, **kwargs)
         lines.append(f"monte-carlo {est:.6f} +- {err:.6f} ({args.mc} trials)")
         values.update({"estimate": est, "stderr": err, "trials": args.mc})
     record = _record(args, "signal", values=values)
@@ -462,8 +458,8 @@ def cmd_signal(args) -> int:
 
 
 def cmd_cascade(args) -> int:
-    if args.dofs < 1:
-        raise _InputError("--dofs must be at least 1")
+    if not 1 <= args.dofs <= MAX_CASCADE_DOFS:
+        raise _InputError(f"--dofs must be between 1 and {MAX_CASCADE_DOFS}")
     dist = sorter_cascade(CloneEnsemble(args.dofs, _CLONE_STATES[args.state]))
     lines = [f"cascade dofs={args.dofs} state={args.state}"]
     for det in sorted(dist.probs):
@@ -526,7 +522,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except _InputError as e:
+    except (_InputError, ZeroCoincidenceMass) as e:  # no coincidences: E is undefined
         print(f"error: {e}", file=sys.stderr)
         return 2
     except _NumericFailure as e:

@@ -1,6 +1,9 @@
 """Prebuilt end-to-end experiments.
 
-Two circuits ship here.  The hyper-hybrid circuit sends two particles, one
+Two circuits are built here by hand.  The CLI runs them from the bundled
+files ``examples/hh_<stats>.cdl`` and ``examples/swap.cdl``; the stage
+lists below stay as the test gate's independent reference for what those
+files compile to.  The hyper-hybrid circuit sends two particles, one
 right-moving and one left-moving, each through a hybrid splitter whose
 reflected arm crosses to the other party; after per-port phase shifts the
 two rails on each side are mixed again with hybrid splitters and read out
@@ -26,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,11 +72,9 @@ __all__ = [
     "run_circuit",
     "partition",
     "run_table",
-    "make_runner",
     "dial_settings",
     "dial_runner",
     "party_occupations",
-    "clone_distribution",
     "sorter_cascade",
     "signaling_decode_exact",
     "signaling_decode_mc",
@@ -88,6 +88,7 @@ BOB_PORTS = ("R", "U")
 TABLE_KINDS = ("path-path", "spin-spin", "spin-path", "path-spin")
 
 RNG_ID = "numpy.default_rng/PCG64"
+MAX_MC_DOFS = 62  # 2^62 is the largest power of two an int64 draw can bound
 
 
 @dataclass(frozen=True)
@@ -225,15 +226,6 @@ def run_table(run: CircuitRun, kind: str) -> CoincidenceTable:
     )
 
 
-def make_runner(name: str, statistics: Statistics, kind: str):
-    """settings -> coincidence table, for sweeps."""
-
-    def runner(settings: PhaseSettings) -> CoincidenceTable:
-        return run_table(run_circuit(name, statistics, settings), kind)
-
-    return runner
-
-
 def dial_settings(a: float, b: float) -> PhaseSettings:
     """Map two analyzer dials onto the four plate phases.
 
@@ -247,10 +239,9 @@ def dial_settings(a: float, b: float) -> PhaseSettings:
 
 def dial_runner(name: str, statistics: Statistics, kind: str):
     """(dial a, dial b) -> coincidence table, for CHSH evaluation."""
-    runner = make_runner(name, statistics, kind)
 
     def dialed(a: float, b: float) -> CoincidenceTable:
-        return runner(dial_settings(a, b))
+        return run_table(run_circuit(name, statistics, dial_settings(a, b)), kind)
 
     return dialed
 
@@ -313,22 +304,6 @@ class CloneEnsemble:
             raise ValueError("need at least one degree of freedom")
 
 
-def clone_distribution(basis: str, n: int) -> dict:
-    """Joint Z-readout distribution of n clones after Alice measures Z or X.
-
-    A Z measurement collapses the clones into all-zeros or all-ones with
-    equal weight; an X measurement leaves every Z readout pattern equally
-    likely.
-    """
-    if n < 1:
-        raise ValueError("need at least one clone")
-    if basis == "Z":
-        return {"0" * n: 0.5, "1" * n: 0.5}
-    if basis == "X":
-        return {"".join(bits): 2.0**-n for bits in itertools.product("01", repeat=n)}
-    raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-
-
 def sorter_cascade(clones: CloneEnsemble) -> DetectorDistribution:
     """Detector distribution after sorting each degree of freedom in turn.
 
@@ -359,34 +334,21 @@ def _one_of(dofs, copies):
 
 
 def signaling_decode_exact(dofs: int | None = None, copies: int | None = None) -> float:
-    """Probability that Bob correctly reads Alice's basis choice.
+    """Probability that Bob correctly reads Alice's basis choice: 1 - 2^-count.
 
     dofs variant: one particle carries N clone DOFs; Bob decodes "Z" when
     every readout bit agrees, "X" otherwise, and Alice's choice is uniform.
-    Summed exactly over all outcome strings with rational arithmetic.
+    The Z branch always decodes correctly; the X branch fails only when its
+    uniform N-bit readout happens to agree (2 of 2^N strings), so the
+    success probability is 1/2 + 1/2 (1 - 2^(1-N)).
 
     copies variant: M separate two-DOF clone particles, evaluated in the
     signaling branch (Alice chose X): Bob decodes correctly as soon as any
-    copy shows disagreeing bits.  Summed per copy, then multiplied out.
+    copy shows disagreeing bits, and each copy agrees with probability 1/2.
+
+    Both equal 1 - 2^-count, returned as the correctly rounded float.
     """
-    if dofs is not None:
-        n = _one_of(dofs, copies)
-        agree = Fraction(0)
-        for v in range(2**n):
-            if v == 0 or v == 2**n - 1:
-                agree += Fraction(1, 2**n)
-        # Z branch always agrees and decodes correctly; X branch decodes
-        # correctly unless the readout happens to agree
-        return float(Fraction(1, 2) + Fraction(1, 2) * (1 - agree))
-    m = _one_of(dofs, copies)
-    per_copy_agree = Fraction(0)
-    for v in range(4):
-        if v in (0, 3):
-            per_copy_agree += Fraction(1, 4)
-    all_agree = Fraction(1)
-    for _ in range(m):
-        all_agree *= per_copy_agree
-    return float(1 - all_agree)
+    return 1.0 - math.ldexp(1.0, -_one_of(dofs, copies))
 
 
 def signaling_decode_mc(
@@ -398,6 +360,10 @@ def signaling_decode_mc(
     """Monte Carlo mirror of signaling_decode_exact: (estimate, stderr)."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if dofs is not None and dofs > MAX_MC_DOFS:
+        raise ValueError(
+            f"Monte Carlo draws each readout as one int64; dofs must be at most {MAX_MC_DOFS}"
+        )
     rng = np.random.default_rng(seed)
     if dofs is not None:
         n = _one_of(dofs, copies)

@@ -72,7 +72,7 @@ from fockflow.experiments import (
     sorter_cascade,
     swap_circuit,
 )
-from reference import reference_substitute
+from reference import reference_decode, reference_substitute
 
 TOL_EXACT = 1e-12
 TOL_TABLE = 1e-9
@@ -209,6 +209,8 @@ class TestSignalingDecode:
         for n in range(1, 21):
             assert signaling_decode_exact(dofs=n) == 1.0 - 2.0**-n
             assert signaling_decode_exact(copies=n) == 1.0 - 2.0**-n
+            assert signaling_decode_exact(dofs=n) == reference_decode(dofs=n)
+            assert signaling_decode_exact(copies=n) == reference_decode(copies=n)
         assert signaling_decode_exact(dofs=2) == 0.75
         assert signaling_decode_exact(dofs=3) == 0.875
 

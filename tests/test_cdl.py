@@ -16,6 +16,7 @@ from fockflow.cdl import (
     parse,
     parse_source,
     pretty_print,
+    rebin,
     tokenize,
 )
 from fockflow.experiments import (
@@ -231,6 +232,29 @@ class TestCompiler:
         run = swap_circuit(PhaseSettings())
         assert c.partitions["A"] == partition(run, "A", "internal")
         assert c.partitions["B"] == partition(run, "B", "external")
+
+    @pytest.mark.parametrize("name", ["hh_fermion.cdl", "hh_distinguishable.cdl", "swap.cdl"])
+    def test_rebin_matches_hardcoded_partitions(self, name):
+        c = compile_circuit(parse_source(read(name)))
+        if name == "swap.cdl":
+            run = swap_circuit(PhaseSettings())
+        else:
+            run = hyper_hybrid_circuit(c.statistics, PhaseSettings())
+        for party in "AB":
+            for kind in ("external", "internal"):
+                assert rebin(c, party, kind) == partition(run, party, kind)
+
+    def test_rebin_orders_ports_by_first_appearance_and_spins_by_declaration(self):
+        src = MINIMAL.replace("external a b", "external a b c")
+        c = compile_circuit(parse_source(src + "measure A external bin x = b bin y = up:c a\n"))
+        by_port = rebin(c, "A", "external")
+        assert by_port.labels() == ("b", "c", "a")
+        assert {(m.internal.name, m.external.name) for m in by_port.bins[1][1]} == {("up", "c")}
+        by_spin = rebin(c, "A", "internal")
+        assert by_spin.labels() == ("down", "up")
+        assert by_spin.mode_union() == c.partitions["A"].mode_union()
+        with pytest.raises(ValueError):
+            rebin(c, "A", "charge")
 
     def test_distinguishable_species_follow_declaration_order(self):
         tree = parse_source(read("hh_distinguishable.cdl"))

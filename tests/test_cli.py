@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from fockflow import cli
+from fockflow.algebra import StateVector
 from fockflow.cli import main, parse_phase
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "fockflow" / "examples"
@@ -86,6 +88,34 @@ class TestTable:
     def test_swap_rejects_fermions(self, capsys):
         code, _, err = run(capsys, "table", "swap", "--stats", "fermion")
         assert code == 2
+        assert "conflicts" in err
+
+    def test_file_kind_uses_the_kind_vocabulary(self, capsys):
+        rec = run_json(capsys, "table", str(EXAMPLES / "wiring.cdl"))
+        assert rec["values"]["kind"] == "path-path"
+        assert rec["table"]["row_labels"] == ["a"]
+        assert rec["E"] is None
+
+    def test_kind_rebins_a_file(self, capsys):
+        rec = run_json(capsys, "table", str(EXAMPLES / "wiring.cdl"), "--kind", "spin-spin")
+        assert rec["values"]["kind"] == "spin-spin"
+        assert rec["table"]["row_labels"] == ["down", "up"]
+        assert sum(rec["table"]["cells"]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("circuit", ["hh", str(EXAMPLES / "swap.cdl")])
+    def test_norm_drift_is_a_numeric_failure(self, capsys, monkeypatch, circuit):
+        execute = cli.execute
+
+        def leaky(compiled):
+            state = execute(compiled)
+            terms = {m: 1.01 * a for m, a in state.terms.items()}
+            return StateVector(state.statistics, terms, state.prune_tolerance)
+
+        monkeypatch.setattr(cli, "execute", leaky)
+        code, out, err = run(capsys, "table", circuit)
+        assert code == 3
+        assert out == ""
+        assert "norm" in err
 
     def test_bad_phase_expression(self, capsys):
         assert main(["table", "hh", "--phase-d", "banana"]) == 2
@@ -134,6 +164,33 @@ class TestChsh:
         assert rec["chsh"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)
         assert rec["statistics"] == "boson"
 
+    def test_labels_outside_the_sign_map(self, capsys):
+        code, out, err = run(capsys, "chsh", str(EXAMPLES / "wiring.cdl"))
+        assert code == 2
+        assert out == ""
+        assert "sign map" in err
+
+
+SAME_SIDE = """\
+internal down up
+external L D R U
+statistics fermion
+particle down D
+particle down L
+measure A external bin D = D bin L = L
+measure B external bin R = R bin U = U
+"""
+
+
+@pytest.mark.parametrize("command", [["chsh"], ["sweep", "--steps", "1"]])
+def test_no_coincidences_to_correlate(capsys, tmp_path, command):
+    f = tmp_path / "same_side.cdl"
+    f.write_text(SAME_SIDE)
+    code, out, err = run(capsys, command[0], str(f), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert "coincidence cells are zero" in err
+
 
 class TestSweep:
     HEADER = "phiL,phiD,phiR,phiU,kind,p00,p01,p10,p11,E"
@@ -172,9 +229,43 @@ class TestSweep:
         )
         assert code == 4
 
-    def test_rejects_file_circuits(self, capsys):
-        code, _, _ = run(capsys, "sweep", str(EXAMPLES / "swap.cdl"))
+    def test_file_circuit_matches_its_name(self, capsys):
+        code, named, _ = run(capsys, "sweep", "swap", "--steps", "2")
+        assert code == 0
+        code, from_file, _ = run(capsys, "sweep", str(EXAMPLES / "swap.cdl"), "--steps", "2")
+        assert code == 0
+        assert from_file == named
+
+    def test_header_follows_the_table_shape(self, capsys, tmp_path):
+        f = tmp_path / "one_bob_bin.cdl"
+        src = (EXAMPLES / "hh_fermion.cdl").read_text()
+        f.write_text(src.replace("bin R = R bin U = U", "bin R = R"))
+        code, out, _ = run(capsys, "sweep", str(f), "--steps", "1")
+        assert code == 0
+        header, row = out.strip().split("\n")
+        assert header == "phiL,phiD,phiR,phiU,kind,p00,p10,E"
+        assert row == "0,0,0,0,path-path,0.25,0,1"
+
+    def test_file_without_measures(self, capsys):
+        code, _, err = run(capsys, "sweep", str(EXAMPLES / "cascade2.cdl"))
         assert code == 2
+        assert "both parties" in err
+
+    def test_labels_outside_the_sign_map(self, capsys):
+        code, out, err = run(capsys, "sweep", str(EXAMPLES / "wiring.cdl"), "--steps", "1")
+        assert code == 2
+        assert out == ""
+        assert "sign map" in err
+
+    def test_steps_past_the_cap_exit_before_any_run(self, capsys, monkeypatch):
+        def no_run(*_):
+            raise AssertionError("the circuit was loaded")
+
+        monkeypatch.setattr(cli, "_read_tree", no_run)
+        code, out, err = run(capsys, "sweep", "hh", "--steps", str(cli.MAX_SWEEP_STEPS + 1))
+        assert code == 2
+        assert out == ""
+        assert "--steps" in err
 
 
 class TestSignal:
@@ -203,6 +294,16 @@ class TestSignal:
         assert out == ""
         assert "--mc" in err
 
+    def test_exact_for_many_dofs(self, capsys):
+        rec = run_json(capsys, "signal", "--dofs", "64")
+        assert rec["values"]["exact"] == 1.0
+
+    def test_mc_past_the_int64_draw(self, capsys):
+        code, out, err = run(capsys, "signal", "--dofs", "64", "--mc", "10")
+        assert code == 2
+        assert out == ""
+        assert "at most 62" in err
+
     def test_requires_exactly_one_variant(self, capsys):
         assert main(["signal"]) == 2
         assert main(["signal", "--dofs", "2", "--copies", "2"]) == 2
@@ -222,6 +323,16 @@ class TestCascade:
     def test_bad_count(self, capsys):
         code, _, _ = run(capsys, "cascade", "--dofs", "0")
         assert code == 2
+
+    def test_dofs_past_the_cap_exit_before_any_work(self, capsys, monkeypatch):
+        def no_cascade(*_):
+            raise AssertionError("the cascade was built")
+
+        monkeypatch.setattr(cli, "sorter_cascade", no_cascade)
+        code, out, err = run(capsys, "cascade", "--dofs", str(cli.MAX_CASCADE_DOFS + 1))
+        assert code == 2
+        assert out == ""
+        assert "--dofs" in err
 
 
 class TestCheck:

@@ -23,11 +23,9 @@ from fockflow.experiments import (
     X_PLUS,
     Z_ONE,
     Z_ZERO,
-    clone_distribution,
     dial_runner,
     dial_settings,
     hyper_hybrid_circuit,
-    make_runner,
     partition,
     party_occupations,
     run_circuit,
@@ -215,15 +213,6 @@ class TestClonesAndCascade:
         assert X_PLUS.born() == pytest.approx((0.5, 0.5))
         assert Z_ONE.born() == pytest.approx((0.0, 1.0))
 
-    def test_clone_distribution_z_is_perfectly_correlated(self):
-        dist = clone_distribution("Z", 3)
-        assert dist == {"000": pytest.approx(0.5), "111": pytest.approx(0.5)}
-
-    def test_clone_distribution_x_is_uniform(self):
-        dist = clone_distribution("X", 2)
-        assert len(dist) == 4
-        assert all(p == pytest.approx(0.25) for p in dist.values())
-
     def test_cascade_z_clones_hit_extreme_detectors(self):
         d = sorter_cascade(CloneEnsemble(2, Z_ZERO))
         assert d.probs[1] == pytest.approx(1.0)
@@ -258,6 +247,15 @@ class TestSignaling:
         assert signaling_decode_exact(copies=2) == 0.75
         assert float(signaling_decode_exact(copies=4)) == pytest.approx(0.9375)
 
+    def test_exact_needs_no_enumeration_for_many_carriers(self):
+        assert signaling_decode_exact(dofs=64) == 1.0
+        assert signaling_decode_exact(copies=10**6) == 1.0
+
+    def test_mc_rejects_dofs_past_the_int64_draw(self):
+        assert signaling_decode_mc(dofs=62, trials=10, seed=0)[0] == 1.0
+        with pytest.raises(ValueError, match="at most 62"):
+            signaling_decode_mc(dofs=63, trials=10, seed=0)
+
     def test_exactly_one_variant_required(self):
         with pytest.raises(ValueError):
             signaling_decode_exact()
@@ -282,11 +280,3 @@ class TestSignaling:
 
     def test_rng_identity_string(self):
         assert "PCG64" in RNG_ID
-
-
-class TestRunnerFactories:
-    def test_make_runner_produces_tables(self):
-        runner = make_runner("hyperhybrid", Statistics.FERMION, "path-path")
-        t = runner(SETTINGS)
-        ref = closed_form_table("path-path", Statistics.FERMION, SETTINGS)
-        assert np.allclose(t.probs, ref.probs, atol=1e-12)
