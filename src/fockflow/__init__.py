@@ -1,125 +1,20 @@
-"""fockflow: second-quantized simulation of few-particle optical circuits."""
+"""fockflow: second-quantized simulation of few-particle optical circuits.
+
+A circuit is defined in the circuit description language and run as
+``parse_source`` -> ``compile_circuit`` -> ``execute``; the submodules
+``algebra``, ``elements``, ``analysis`` and ``cdl`` hold the rest.
+"""
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    Label,
-    Mode,
-    ModeBasis,
-    Monomial,
-    StateVector,
-    Statistics,
-    UnknownMode,
-    ZeroNorm,
-    amplitude,
-    apply_creation,
-    canonicalize,
-    norm_squared,
-    outcome_probability,
-    substitute,
-    vacuum,
-)
-from .analysis import (
-    ChshSettings,
-    CoincidenceTable,
-    DEFAULT_SIGNS,
-    DetectorDistribution,
-    MeasurementPartition,
-    OverlappingPartitions,
-    ZeroCoincidenceMass,
-    chsh_grid_search,
-    chsh_value,
-    closed_form_table,
-    coincidence_table,
-    completeness,
-    correlation,
-    factorization_residual,
-    sweep,
-)
-from .elements import (
-    ModeTransform,
-    beam_splitter,
-    compose,
-    dof_sorter,
-    exchange_wiring,
-    hybrid_beam_splitter,
-    identity,
-    phase_shifter,
-    verify_unitary,
-)
-from .experiments import (
-    CircuitRun,
-    CloneEnsemble,
-    PhaseSettings,
-    QubitState,
-    RNG_ID,
-    dial_runner,
-    dial_settings,
-    hyper_hybrid_circuit,
-    partition,
-    party_occupations,
-    run_circuit,
-    run_table,
-    signaling_decode_exact,
-    signaling_decode_mc,
-    sorter_cascade,
-    swap_circuit,
-)
+from .analysis import coincidence_table, correlation
+from .cdl import compile_circuit, execute, parse_source
 
 __all__ = [
-    "ChshSettings",
-    "CircuitRun",
-    "CloneEnsemble",
-    "CoincidenceTable",
-    "DEFAULT_SIGNS",
-    "DetectorDistribution",
-    "Label",
-    "MeasurementPartition",
-    "Mode",
-    "ModeBasis",
-    "ModeTransform",
-    "Monomial",
-    "OverlappingPartitions",
-    "PhaseSettings",
-    "QubitState",
-    "RNG_ID",
-    "StateVector",
-    "Statistics",
-    "UnknownMode",
-    "ZeroCoincidenceMass",
-    "ZeroNorm",
-    "amplitude",
-    "apply_creation",
-    "beam_splitter",
-    "canonicalize",
-    "chsh_grid_search",
-    "chsh_value",
-    "closed_form_table",
+    "__version__",
     "coincidence_table",
-    "completeness",
-    "compose",
+    "compile_circuit",
     "correlation",
-    "dial_runner",
-    "dial_settings",
-    "dof_sorter",
-    "exchange_wiring",
-    "factorization_residual",
-    "hybrid_beam_splitter",
-    "hyper_hybrid_circuit",
-    "identity",
-    "norm_squared",
-    "outcome_probability",
-    "partition",
-    "party_occupations",
-    "phase_shifter",
-    "run_circuit",
-    "run_table",
-    "signaling_decode_exact",
-    "signaling_decode_mc",
-    "sorter_cascade",
-    "substitute",
-    "swap_circuit",
-    "sweep",
-    "vacuum",
-    "verify_unitary",
+    "execute",
+    "parse_source",
 ]

@@ -238,22 +238,21 @@ class StateVector:
     """Sparse map from canonical monomials to complex amplitudes.
 
     Treated as immutable after construction; every operation returns a new
-    state.  Amplitudes with magnitude below ``prune_tolerance`` are dropped
-    on construction.
+    state.  Amplitudes with magnitude below ``DEFAULT_PRUNE_TOLERANCE`` are
+    dropped on construction.
     """
 
     statistics: Statistics
     terms: dict
-    prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE
 
     def __post_init__(self) -> None:
         self.terms = {
-            m: complex(a) for m, a in self.terms.items() if abs(a) >= self.prune_tolerance
+            m: complex(a) for m, a in self.terms.items() if abs(a) >= DEFAULT_PRUNE_TOLERANCE
         }
 
 
-def vacuum(statistics: Statistics, prune_tolerance: float = DEFAULT_PRUNE_TOLERANCE) -> StateVector:
-    return StateVector(statistics, {VACUUM: 1.0 + 0.0j}, prune_tolerance)
+def vacuum(statistics: Statistics) -> StateVector:
+    return StateVector(statistics, {VACUUM: 1.0 + 0.0j})
 
 
 def _insert_left(monomial: Monomial, mode: Mode, statistics: Statistics):
@@ -287,7 +286,7 @@ def apply_creation(state: StateVector, mode: Mode) -> StateVector:
         if new is None:
             continue
         out[new] = out.get(new, 0.0) + sign * amp
-    return StateVector(state.statistics, out, state.prune_tolerance)
+    return StateVector(state.statistics, out)
 
 
 def substitute(state: StateVector, transform) -> StateVector:
@@ -337,7 +336,7 @@ def substitute(state: StateVector, transform) -> StateVector:
         for ranks, weight in partial.items():
             merged[ranks] = merged.get(ranks, 0.0) + weight
     out = {_grouped([ranked[r] for r in ranks]): w for ranks, w in merged.items()}
-    return StateVector(state.statistics, out, state.prune_tolerance)
+    return StateVector(state.statistics, out)
 
 
 def amplitude(state: StateVector, outcome: Monomial) -> complex:
@@ -391,15 +390,11 @@ def add(a: StateVector, b: StateVector) -> StateVector:
     terms = dict(a.terms)
     for m, amp in b.terms.items():
         terms[m] = terms.get(m, 0.0) + amp
-    return StateVector(a.statistics, terms, min(a.prune_tolerance, b.prune_tolerance))
+    return StateVector(a.statistics, terms)
 
 
 def scale(state: StateVector, factor: complex) -> StateVector:
-    return StateVector(
-        state.statistics,
-        {m: factor * a for m, a in state.terms.items()},
-        state.prune_tolerance,
-    )
+    return StateVector(state.statistics, {m: factor * a for m, a in state.terms.items()})
 
 
 def particle_count(state: StateVector) -> int | None:

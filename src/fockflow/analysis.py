@@ -13,7 +13,6 @@ the two is a genuine cross-check rather than a tautology.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,12 +21,11 @@ import numpy as np
 from .algebra import (
     Mode,
     ModeBasis,
-    Monomial,
     StateVector,
     Statistics,
     ZeroNorm,
+    _species_blind,
     norm_squared,
-    outcome_probability,
 )
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "closed_form_table",
     "sweep",
     "factorization_residual",
-    "all_two_particle_outcomes",
     "completeness",
 ]
 
@@ -291,37 +288,23 @@ def factorization_residual(table) -> float:
     return float(np.max(np.abs(m - predicted)))
 
 
-def all_two_particle_outcomes(basis: ModeBasis, statistics: Statistics):
-    """Every canonical two-particle outcome monomial over the basis.
-
-    For distinguishable species the detector pattern is species-blind, so
-    one representative per unordered (internal, external) pair is returned,
-    tagged with the two species in canonical order.
-    """
-    if statistics is Statistics.DISTINGUISHABLE:
-        if len(basis.species) != 2:
-            raise ValueError("two-particle distinguishable enumeration needs two species")
-        sp1, sp2 = basis.species
-        pairs = []
-        flavors = [(i, e) for e in basis.externals for i in basis.internals]
-        for x, y in itertools.combinations_with_replacement(flavors, 2):
-            a = basis.mode(x[0], x[1], sp1)
-            b = basis.mode(y[0], y[1], sp2)
-            pairs.append(Monomial(tuple(sorted(((a, 1), (b, 1)), key=lambda kv: kv[0].order_key()))))
-        return pairs
-    out = []
-    for a, b in itertools.combinations(basis.modes, 2):
-        out.append(Monomial(((a, 1), (b, 1))))
-    if statistics is Statistics.BOSON:
-        for m in basis.modes:
-            out.append(Monomial(((m, 2),)))
-    return out
-
-
 def completeness(run_or_state, basis: ModeBasis) -> float:
-    """Total probability over every enumerable two-particle outcome."""
+    """Total probability of every detector outcome over the basis.
+
+    Holds for any particle count: each term's Born weight |a|^2 prod n_k!
+    is added to its species-blind detector pattern (detectors cannot tell
+    distinguishable species apart), terms touching a mode outside ``basis``
+    are left out, and the patterns' probabilities are summed in sorted
+    pattern order.
+    """
     state = _state_of(run_or_state)
-    return sum(
-        outcome_probability(state, m)
-        for m in all_two_particle_outcomes(basis, state.statistics)
-    )
+    n2 = norm_squared(state)
+    if n2 <= 0.0:
+        raise ZeroNorm("state has zero norm")
+    inside = set(basis.modes)
+    weights: dict = {}
+    for mono, amp in state.terms.items():
+        if all(m in inside for m, _ in mono.entries):
+            pattern = _species_blind(mono)
+            weights[pattern] = weights.get(pattern, 0.0) + abs(amp) ** 2 * mono.norm_factor()
+    return sum(weights[p] / n2 for p in sorted(weights))

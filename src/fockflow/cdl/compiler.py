@@ -4,7 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..algebra import ModeBasis, StateVector, Statistics, apply_creation, substitute, vacuum
+from ..algebra import (
+    ModeBasis,
+    StateVector,
+    Statistics,
+    apply_creation,
+    norm_squared,
+    scale,
+    substitute,
+    vacuum,
+)
 from ..analysis import MeasurementPartition
 from ..elements import (
     ModeTransform,
@@ -47,7 +56,8 @@ def compile_circuit(tree: CircuitSpecTree, params: dict | None = None) -> Compil
     ``params`` binds `$name` phase parameters by bare name (no `$`);
     unbound parameters default to 0.0. Particles are listed in operator
     product order: the first declaration is the leftmost creation
-    operator. Under distinguishable statistics the k-th particle gets
+    operator, and bosons declared in one mode start in the normalized
+    number state. Under distinguishable statistics the k-th particle gets
     species tag k+1 in declaration order.
     """
     params = params or {}
@@ -67,6 +77,9 @@ def compile_circuit(tree: CircuitSpecTree, params: dict | None = None) -> Compil
         state = apply_creation(
             state, basis.mode(decl.internal.name, decl.external.name, species=sp)
         )
+    n2 = norm_squared(state)
+    if n2 != 1.0:  # bosons sharing a mode: the raw product has norm^2 prod n_k!
+        state = scale(state, n2**-0.5)
 
     stages = tuple(_compile_element(el, basis, params) for el in tree.elements)
     partitions = {m.party: _compile_measure(m, basis) for m in tree.measures}

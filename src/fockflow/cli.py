@@ -19,8 +19,9 @@ the order the party's measure line first names them) or by spin
 out with its own bins, and its kind is reported in the same path/spin
 vocabulary. ``chsh`` and ``sweep`` need bin labels inside the sign map
 and some coincidence mass at every point they correlate.
-``sweep --steps`` is capped at MAX_SWEEP_STEPS and ``cascade --dofs`` at
-MAX_CASCADE_DOFS; larger values exit 2.
+``sweep --steps`` is capped at MAX_SWEEP_STEPS, ``cascade --dofs`` at
+MAX_CASCADE_DOFS and ``signal --mc`` trials x copies at
+experiments.MAX_MC_DRAWS; larger values exit 2.
 """
 
 from __future__ import annotations

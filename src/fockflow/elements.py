@@ -60,7 +60,7 @@ class NotBijective(ValueError):
 
 
 class BasisMismatch(ValueError):
-    """Transforms could not be embedded into a common mode basis."""
+    """Transforms to be composed are over different mode bases."""
 
 
 @dataclass(frozen=True)
@@ -272,64 +272,23 @@ def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
     return _permutation(basis, complete, "exchange")
 
 
-def _merge_labels(sequences):
-    """Merge label tuples preserving each one's relative order."""
-    merged: list = []
-    for seq in sequences:
-        positions = [merged.index(x) for x in seq if x in merged]
-        if positions != sorted(positions):
-            raise BasisMismatch(f"label order conflict merging {seq} into {tuple(merged)}")
-        for x in seq:
-            if x not in merged:
-                merged.append(x)
-    out = tuple(merged)
-    for seq in sequences:
-        it = iter(out)
-        if not all(x in it for x in seq):
-            raise BasisMismatch(f"cannot interleave {seq} into {out}")
-    return out
-
-
-def _union_basis(bases):
-    first = bases[0]
-    if all(b == first for b in bases):
-        return first
-    return ModeBasis(
-        internals=_merge_labels([b.internals for b in bases]),
-        externals=_merge_labels([b.externals for b in bases]),
-        species=_merge_labels([b.species for b in bases]),
-    )
-
-
-def _embed(t: ModeTransform, basis: ModeBasis) -> ModeTransform:
-    if t.basis == basis:
-        return t
-    mat = np.eye(len(basis), dtype=complex)
-    idx = [basis.index_of(m) for m in t.basis.modes]
-    for m_old, m_new in enumerate(idx):
-        mat[:, m_new] = 0.0
-        for n_old, n_new in enumerate(idx):
-            mat[n_new, m_new] = t.matrix[n_old, m_old]
-    return ModeTransform(basis, mat, t.name)
-
-
 def compose(stages, basis: ModeBasis | None = None) -> ModeTransform:
     """Product of the stages in application order (first stage acts first).
 
-    Stages over different bases are embedded into the merged basis, padded
-    with identity on the modes they do not touch.
+    Every stage must be over one basis: the first stage's, or ``basis`` when
+    given (which an empty stage list needs).
     """
     stages = list(stages)
-    if not stages:
-        if basis is None:
+    if basis is None:
+        if not stages:
             raise ValueError("compose of no stages needs an explicit basis")
-        return identity(basis, "composed")
-    bases = [t.basis for t in stages] + ([basis] if basis is not None else [])
-    union = _union_basis(bases)
-    total = np.eye(len(union), dtype=complex)
+        basis = stages[0].basis
+    total = np.eye(len(basis), dtype=complex)
     for t in stages:
-        total = _embed(t, union).matrix @ total
-    return ModeTransform(union, total, "composed")
+        if t.basis != basis:
+            raise BasisMismatch(f"stage {t.name!r} is over {t.basis}, not {basis}")
+        total = t.matrix @ total
+    return ModeTransform(basis, total, "composed")
 
 
 def verify_unitary(t: ModeTransform, tol: float = 1e-12) -> bool:

@@ -89,6 +89,7 @@ TABLE_KINDS = ("path-path", "spin-spin", "spin-path", "path-spin")
 
 RNG_ID = "numpy.default_rng/PCG64"
 MAX_MC_DOFS = 62  # 2^62 is the largest power of two an int64 draw can bound
+MAX_MC_DRAWS = 10**7  # int64 readouts per Monte Carlo run: 80 MB per array
 
 
 @dataclass(frozen=True)
@@ -363,6 +364,11 @@ def signaling_decode_mc(
     if dofs is not None and dofs > MAX_MC_DOFS:
         raise ValueError(
             f"Monte Carlo draws each readout as one int64; dofs must be at most {MAX_MC_DOFS}"
+        )
+    draws = trials * (copies or 1)
+    if draws > MAX_MC_DRAWS:
+        raise ValueError(
+            f"Monte Carlo needs {draws} int64 draws (trials x copies); the cap is {MAX_MC_DRAWS}"
         )
     rng = np.random.default_rng(seed)
     if dofs is not None:

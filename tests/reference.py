@@ -34,7 +34,7 @@ def reference_substitute(state, transform):
             if new is None:
                 continue
             out[new] = out.get(new, 0.0) + sign * weight
-    return StateVector(state.statistics, out, state.prune_tolerance)
+    return StateVector(state.statistics, out)
 
 
 def reference_decode(dofs=None, copies=None) -> float:

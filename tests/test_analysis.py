@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from fockflow.algebra import ModeBasis, Statistics, ZeroNorm, apply_creation, scale, vacuum
+from fockflow.algebra import (
+    ModeBasis,
+    Statistics,
+    ZeroNorm,
+    add,
+    apply_creation,
+    scale,
+    substitute,
+    vacuum,
+)
 from fockflow.analysis import (
     ChshSettings,
     CoincidenceTable,
@@ -14,7 +23,6 @@ from fockflow.analysis import (
     MeasurementPartition,
     OverlappingPartitions,
     ZeroCoincidenceMass,
-    all_two_particle_outcomes,
     chsh_grid_search,
     chsh_value,
     closed_form_table,
@@ -24,6 +32,7 @@ from fockflow.analysis import (
     factorization_residual,
     sweep,
 )
+from fockflow.elements import beam_splitter, compose, hybrid_beam_splitter
 from fockflow.experiments import PhaseSettings
 
 BASIS = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U"))
@@ -220,16 +229,34 @@ class TestSweepAndEnumeration:
         assert len(records) == 1 and calls == [PhaseSettings(phi_d=1.0)]
         assert records[0].correlation == pytest.approx(0.25)
 
-    def test_outcome_enumeration_counts(self):
-        assert len(all_two_particle_outcomes(BASIS, Statistics.FERMION)) == 28
-        assert len(all_two_particle_outcomes(BASIS, Statistics.BOSON)) == 36
-        two_species = ModeBasis(
-            internals=("down", "up"), externals=("L", "D", "R", "U"), species=(1, 2)
-        )
-        assert len(all_two_particle_outcomes(two_species, Statistics.DISTINGUISHABLE)) == 36
-
     def test_completeness_of_a_simple_state(self):
         st = vacuum(Statistics.FERMION)
         st = apply_creation(st, BASIS.mode("down", "L"))
         st = apply_creation(st, BASIS.mode("down", "R"))
         assert completeness(st, BASIS) == pytest.approx(1.0)
+
+    def test_completeness_of_three_distinguishable_species(self):
+        three = ModeBasis(
+            internals=("down", "up"), externals=("L", "D", "R", "U"), species=(1, 2, 3)
+        )
+        st = vacuum(Statistics.DISTINGUISHABLE)
+        for sp, port in ((3, "R"), (2, "D"), (1, "L")):
+            st = apply_creation(st, three.mode("down", port, species=sp))
+        mesh = compose(
+            [
+                hybrid_beam_splitter(three, "L", "D"),
+                beam_splitter(three, "D", "R"),
+                hybrid_beam_splitter(three, "R", "U"),
+            ]
+        )
+        st = substitute(st, mesh)
+        assert len(st.terms) > 8
+        assert completeness(st, three) == pytest.approx(1.0, abs=1e-12)
+
+    def test_terms_outside_the_basis_are_not_counted(self):
+        wide = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U", "X"))
+        inside = apply_creation(vacuum(Statistics.BOSON), wide.mode("down", "L"))
+        outside = apply_creation(vacuum(Statistics.BOSON), wide.mode("down", "X"))
+        st = scale(add(inside, outside), 2**-0.5)
+        assert completeness(st, wide) == pytest.approx(1.0, abs=1e-12)
+        assert completeness(st, BASIS) == pytest.approx(0.5, abs=1e-12)

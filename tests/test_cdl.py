@@ -1,11 +1,17 @@
 """Unit tests for the circuit description language."""
 
+import contextlib
+import io
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fockflow.algebra import Statistics, norm_squared
+from fockflow import cli
+from fockflow.algebra import Statistics, norm_squared, outcome_probability
+from fockflow.analysis import completeness
 from fockflow.cdl import (
     LabelRef,
     LexError,
@@ -26,7 +32,8 @@ from fockflow.experiments import (
     swap_circuit,
 )
 
-EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "fockflow" / "examples"
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = ROOT / "src" / "fockflow" / "examples"
 
 MINIMAL = """\
 internal down up
@@ -214,6 +221,15 @@ class TestCompiler:
         c = compile_circuit(parse_source(MINIMAL + "phase a $theta\n"))
         assert execute(c).terms == c.initial.terms
 
+    def test_bosons_sharing_a_mode_start_normalized(self):
+        c = compile_circuit(parse_source(MINIMAL + "particle down a\nbs a b a b\n"))
+        assert norm_squared(c.initial) == pytest.approx(1.0, abs=1e-15)
+        state = execute(c)
+        assert norm_squared(state) == pytest.approx(1.0, abs=1e-12)
+        split = c.basis.mode("down", "a"), c.basis.mode("down", "b")
+        pair = next(m for m in state.terms if [e for e, _ in m.entries] == list(split))
+        assert outcome_probability(state, pair) == pytest.approx(0.5, abs=1e-12)
+
     def test_interferometer_matches_hardcoded(self):
         tree = parse_source(read("hh_fermion.cdl"))
         got = execute(compile_circuit(tree, params=self.PARAMS))
@@ -309,6 +325,14 @@ class TestPrinter:
         assert a == b
 
 
+def test_readme_library_example_runs(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
 class TestMutations:
     def splice(self, src, tok, inject):
         starts = [0]
@@ -342,3 +366,110 @@ class TestMutations:
         with pytest.raises(ParseError) as e:
             parse_source(mutated)
         assert (e.value.line, e.value.col) == (tok.line, tok.col)
+
+
+INTERNAL_NAMES = ("down", "up", "mid")
+EXTERNAL_NAMES = ("L", "D", "R", "U")
+STANDARD_PARAMS = ("$phiL", "$phiD", "$phiR", "$phiU")
+ELEMENT_KINDS = ("bs", "hbs", "phase", "sorter internal", "sorter external", "exchange")
+
+
+@st.composite
+def cdl_sources(draw):
+    """A circuit file that parses: 1-4 particles, any statistics, random elements.
+
+    Every element is well formed except that ``hbs`` is also drawn over
+    one or three internal labels, which only the compiler rejects.
+    """
+    internals = INTERNAL_NAMES[: draw(st.sampled_from((1, 2, 2, 2, 3)))]
+    externals = EXTERNAL_NAMES[: draw(st.integers(2, 4))]
+    statistics = draw(st.sampled_from(("boson", "fermion", "distinguishable")))
+    modes = [(i, e) for e in externals for i in internals]
+    fermion = statistics == "fermion"
+    count = draw(st.integers(1, min(4, len(modes)) if fermion else 4))
+    particles = draw(
+        st.lists(st.sampled_from(modes), min_size=count, max_size=count, unique=fermion)
+    )
+    lines = [
+        "internal " + " ".join(internals),
+        "external " + " ".join(externals),
+        f"statistics {statistics}",
+        *(f"particle {i} {e}" for i, e in particles),
+    ]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(ELEMENT_KINDS))
+        order = draw(st.permutations(externals))
+        if kind in ("bs", "hbs"):
+            ins = order[:2]
+            if len(order) == 4 and draw(st.booleans()):
+                outs = order[2:]
+            else:
+                outs = draw(st.permutations(ins))
+            lines.append(f"{kind} {' '.join(ins)} {' '.join(outs)}")
+        elif kind == "phase":
+            value = draw(
+                st.sampled_from(STANDARD_PARAMS)
+                | st.floats(-2 * math.pi, 2 * math.pi).map(repr)
+            )
+            lines.append(f"phase {order[0]} {value}")
+        elif kind == "sorter internal" and len(externals) >= len(internals):
+            port = draw(st.sampled_from(externals))
+            routes = " ".join(f"{i}->{e}" for i, e in zip(internals, order))
+            lines.append(f"sorter internal {port} {routes}")
+        elif kind == "sorter external":
+            routes = " ".join(f"{a}->{b}" for a, b in zip(externals, order))
+            lines.append(f"sorter external {routes}")
+        elif kind == "exchange":
+            k = draw(st.integers(1, len(externals)))
+            sources = draw(st.permutations(externals))[:k]
+            lines.append("exchange " + " ".join(f"{a}->{b}" for a, b in zip(sources, order[:k])))
+    # the first port is Alice's, the last Bob's, the others go to either
+    # or to no detector; now and then one party's measure line is left
+    # out, which the CLI must reject with exit 2
+    middle = len(externals) - 2
+    owner = ["A", *draw(st.lists(st.sampled_from("AB-"), min_size=middle, max_size=middle)), "B"]
+    unmeasured = draw(st.sampled_from("--------AB"))
+    for party in "AB":
+        if party == unmeasured:
+            continue
+        ports = [e for e, o in zip(externals, owner) if o == party]
+        if draw(st.booleans()):
+            bins = " ".join(f"bin {e} = {e}" for e in ports)
+            lines.append(f"measure {party} external {bins}")
+        else:
+            bins = " ".join(
+                f"bin {i} = " + " ".join(f"{i}:{e}" for e in ports) for i in internals
+            )
+            lines.append(f"measure {party} internal {bins}")
+    return "\n".join(lines) + "\n"
+
+
+class TestGeneratedCircuits:
+    @settings(
+        max_examples=120,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(source=cdl_sources())
+    def test_round_trip_norm_completeness_and_exit_codes(self, tmp_path_factory, source):
+        tree = parse_source(source)
+        assert parse(tokenize(pretty_print(tree))) == tree
+
+        try:
+            compiled = compile_circuit(tree)
+        except ValueError:
+            compiled = None
+        if compiled is not None:
+            state = execute(compiled)
+            assert norm_squared(state) == pytest.approx(1.0, abs=1e-9)
+            assert completeness(state, compiled.basis) == pytest.approx(1.0, abs=1e-9)
+
+        path = tmp_path_factory.getbasetemp() / "generated.cdl"
+        path.write_text(source)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["table", str(path)])
+        assert code in (0, 2), err.getvalue()
+        measured = {m.party for m in tree.measures} == {"A", "B"}
+        assert (code == 0) == (compiled is not None and measured), err.getvalue()

@@ -4,11 +4,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fockflow import cli
 from fockflow.algebra import StateVector
 from fockflow.cli import main, parse_phase
+from fockflow.experiments import MAX_MC_DRAWS
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "fockflow" / "examples"
 
@@ -109,7 +111,7 @@ class TestTable:
         def leaky(compiled):
             state = execute(compiled)
             terms = {m: 1.01 * a for m, a in state.terms.items()}
-            return StateVector(state.statistics, terms, state.prune_tolerance)
+            return StateVector(state.statistics, terms)
 
         monkeypatch.setattr(cli, "execute", leaky)
         code, out, err = run(capsys, "table", circuit)
@@ -123,6 +125,41 @@ class TestTable:
     def test_unknown_circuit_name_is_a_missing_file(self, capsys):
         code, _, _ = run(capsys, "table", "mach-zehnder")
         assert code == 4  # treated as a path and not found
+
+    @pytest.mark.parametrize(
+        "statistics, particles",
+        [
+            ("boson", ["down L", "up D", "down R"]),
+            ("fermion", ["down L", "up D", "down R"]),
+            ("distinguishable", ["down L", "up D", "down R"]),
+            ("boson", ["up L"]),
+            ("fermion", ["down D"]),
+        ],
+    )
+    def test_complete_for_any_particle_count(self, capsys, tmp_path, statistics, particles):
+        f = tmp_path / "circuit.cdl"
+        f.write_text(
+            "\n".join(
+                [
+                    "internal down up",
+                    "external L D R U",
+                    f"statistics {statistics}",
+                    *(f"particle {p}" for p in particles),
+                    "hbs R D R D",
+                    "bs L U L U",
+                    "phase D 0.7",
+                    "hbs D L D L",
+                    "phase U 1.9",
+                    "bs R U R U",
+                    "hbs L R L R",
+                    "measure A external bin D = D bin L = L",
+                    "measure B external bin R = R bin U = U",
+                ]
+            )
+            + "\n"
+        )
+        rec = run_json(capsys, "table", str(f))
+        assert rec["metadata"]["completeness"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTolerance:
@@ -303,6 +340,25 @@ class TestSignal:
         assert code == 2
         assert out == ""
         assert "at most 62" in err
+
+    @pytest.mark.parametrize(
+        "variant, count, trials",
+        [
+            ("--copies", "8", MAX_MC_DRAWS // 8 + 1),
+            ("--dofs", "3", MAX_MC_DRAWS + 1),
+        ],
+    )
+    def test_mc_past_the_draw_cap_exits_before_any_draw(
+        self, capsys, monkeypatch, variant, count, trials
+    ):
+        def no_rng(*_):
+            raise AssertionError("the generator was created")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        code, out, err = run(capsys, "signal", variant, count, "--mc", str(trials))
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
 
     def test_requires_exactly_one_variant(self, capsys):
         assert main(["signal"]) == 2

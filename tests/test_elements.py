@@ -262,21 +262,18 @@ class TestCompose:
         right = compose([a, compose([b, c])]).matrix
         assert np.max(np.abs(left - right)) < 1e-12
 
-    def test_embedding_pads_with_identity(self):
-        small = ModeBasis(internals=("down", "up"), externals=("L", "D"))
-        t = beam_splitter(small, "L", "D")
-        big = compose([t, identity(BASIS)])
-        assert big.basis == BASIS
-        assert verify_unitary(big, 1e-12)
-        # untouched ports stay identity
-        r = BASIS.index_of(BASIS.mode("down", "R"))
-        assert big.matrix[r, r] == 1
-
     def test_conflicting_label_order_rejected(self):
         a = identity(ModeBasis(internals=("down", "up"), externals=("L", "R")))
         b = identity(ModeBasis(internals=("down", "up"), externals=("R", "L")))
         with pytest.raises(BasisMismatch):
             compose([a, b])
+
+    def test_stage_over_another_basis_rejected(self):
+        small = ModeBasis(internals=("down", "up"), externals=("L", "D"))
+        with pytest.raises(BasisMismatch):
+            compose([identity(BASIS), beam_splitter(small, "L", "D")])
+        with pytest.raises(BasisMismatch):
+            compose([beam_splitter(small, "L", "D")], basis=BASIS)
 
     def test_composition_of_unitaries_is_unitary(self):
         stages = [

@@ -15,6 +15,7 @@ from fockflow.analysis import (
     factorization_residual,
 )
 from fockflow.experiments import (
+    MAX_MC_DRAWS,
     CloneEnsemble,
     PhaseSettings,
     QubitState,
@@ -255,6 +256,24 @@ class TestSignaling:
         assert signaling_decode_mc(dofs=62, trials=10, seed=0)[0] == 1.0
         with pytest.raises(ValueError, match="at most 62"):
             signaling_decode_mc(dofs=63, trials=10, seed=0)
+
+    def test_mc_rejects_draws_past_the_cap(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*_):
+            raise Reached
+
+        monkeypatch.setattr(np.random, "default_rng", reached)
+        # the README's example sits below the cap and gets as far as the draw
+        with pytest.raises(Reached):
+            signaling_decode_mc(copies=4, trials=10**6, seed=7)
+        with pytest.raises(Reached):
+            signaling_decode_mc(copies=5, trials=MAX_MC_DRAWS // 5, seed=7)
+        with pytest.raises(ValueError, match="cap"):
+            signaling_decode_mc(copies=5, trials=MAX_MC_DRAWS // 5 + 1, seed=7)
+        with pytest.raises(ValueError, match="cap"):
+            signaling_decode_mc(dofs=3, trials=MAX_MC_DRAWS + 1, seed=7)
 
     def test_exactly_one_variant_required(self):
         with pytest.raises(ValueError):
