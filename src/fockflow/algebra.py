@@ -42,6 +42,7 @@ __all__ = [
     "substitute",
     "amplitude",
     "norm_squared",
+    "detector_distribution",
     "outcome_probability",
     "add",
     "scale",
@@ -356,32 +357,40 @@ def norm_squared(state: StateVector) -> float:
     return sum(abs(a) ** 2 * m.norm_factor() for m, a in state.terms.items())
 
 
-def _species_blind(monomial: Monomial):
-    units = []
-    for m, occ in monomial.entries:
-        units.extend([(m.external.index, m.internal.index)] * occ)
-    units.sort()
-    return tuple(units)
+def _pattern(monomial: Monomial) -> tuple:
+    return tuple(sorted((m.external.index, m.internal.index) for m in monomial.ops()))
 
 
-def outcome_probability(state: StateVector, outcome: Monomial) -> float:
-    """Probability of a detector outcome pattern.
+def detector_distribution(state: StateVector, basis: ModeBasis | None = None) -> dict:
+    """Probability of every detector pattern, in sorted pattern order.
 
-    For distinguishable statistics the species tags in ``outcome`` are
-    ignored: detectors are species-blind, so the probabilities of every
-    species assignment matching the (internal, external) pattern are summed.
+    Detectors are species-blind: they see an (internal, external) slot,
+    never which particle arrived.  A pattern is the sorted tuple of
+    (external index, internal index) slots, one per particle.  Each term
+    adds its Born weight |a|^2 prod n_k! to its pattern, and each pattern
+    weight is divided by the state's norm^2.  With ``basis``, terms that
+    touch a mode outside it are skipped (the norm still counts them).
     """
     n2 = norm_squared(state)
     if n2 <= 0.0:
         raise ZeroNorm("state has zero norm")
-    if state.statistics is Statistics.DISTINGUISHABLE:
-        pattern = _species_blind(outcome)
-        total = 0.0
-        for mono, amp in state.terms.items():
-            if _species_blind(mono) == pattern:
-                total += abs(amp) ** 2 * mono.norm_factor()
-        return total / n2
-    return abs(amplitude(state, outcome)) ** 2 / n2
+    inside = None if basis is None else set(basis.modes)
+    weights: dict = {}
+    for mono, amp in state.terms.items():
+        if inside is None or all(m in inside for m, _ in mono.entries):
+            pattern = _pattern(mono)
+            weights[pattern] = weights.get(pattern, 0.0) + abs(amp) ** 2 * mono.norm_factor()
+    return {p: weights[p] / n2 for p in sorted(weights)}
+
+
+def outcome_probability(state: StateVector, outcome: Monomial) -> float:
+    """Probability that the detectors see the slots of ``outcome``.
+
+    Read from ``detector_distribution``, so species tags in ``outcome`` are
+    ignored: the probabilities of every species assignment matching its
+    (internal, external) pattern are summed.
+    """
+    return detector_distribution(state).get(_pattern(outcome), 0.0)
 
 
 def add(a: StateVector, b: StateVector) -> StateVector:

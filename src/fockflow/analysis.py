@@ -18,15 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    Mode,
-    ModeBasis,
-    StateVector,
-    Statistics,
-    ZeroNorm,
-    _species_blind,
-    norm_squared,
-)
+from .algebra import ModeBasis, StateVector, Statistics, detector_distribution
 
 __all__ = [
     "MeasurementPartition",
@@ -65,30 +57,33 @@ class ZeroCoincidenceMass(ValueError):
 
 @dataclass(frozen=True)
 class MeasurementPartition:
-    """One party's detector binning: ordered (label, mode set) pairs."""
+    """One party's detector binning: ordered (label, mode set) pairs.
+
+    Bins are read species-blind: a detector sees an (external, internal)
+    slot, so ``slots`` maps each slot of a bin's modes to the bin's index,
+    and a bin should hold every species of its slots (as ``_compile_measure``,
+    ``rebin`` and ``experiments.partition`` build them).
+    """
 
     party: str
     kind: str
     bins: tuple
+    slots: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        seen: set = set()
-        for label, modes in self.bins:
-            if seen & set(modes):
+        slots: dict = {}
+        for i, (label, modes) in enumerate(self.bins):
+            bin_slots = {(m.external.index, m.internal.index) for m in modes}
+            if bin_slots & slots.keys():
                 raise OverlappingPartitions(f"bin {label!r} overlaps an earlier bin")
-            seen |= set(modes)
+            slots.update(dict.fromkeys(bin_slots, i))
+        object.__setattr__(self, "slots", slots)
 
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.bins)
 
     def mode_union(self) -> frozenset:
         return frozenset(m for _, modes in self.bins for m in modes)
-
-    def bin_of(self, mode: Mode) -> int | None:
-        for i, (_, modes) in enumerate(self.bins):
-            if mode in modes:
-                return i
-        return None
 
 
 @dataclass(frozen=True)
@@ -113,13 +108,12 @@ class CoincidenceTable:
 
 @dataclass(frozen=True)
 class ChshSettings:
-    """Two dial values per party plus the outcome sign convention."""
+    """Two dial values per party."""
 
     phi_a0: float
     phi_a1: float
     phi_b0: float
     phi_b1: float
-    sign_map: dict = field(default_factory=lambda: dict(DEFAULT_SIGNS))
 
 
 @dataclass(frozen=True)
@@ -145,39 +139,37 @@ class SweepRecord:
     correlation: float
 
 
-def _state_of(run_or_state) -> StateVector:
-    return getattr(run_or_state, "final_state", run_or_state)
-
-
-def coincidence_table(run_or_state, part_a: MeasurementPartition, part_b: MeasurementPartition):
+def coincidence_table(
+    state: StateVector, part_a: MeasurementPartition, part_b: MeasurementPartition
+):
     """2x2 (or NxM) table of one-particle-per-party detection probabilities.
 
-    Entry (i, j) sums the Born weights of monomials with exactly one
-    particle in bin i of party A and one in bin j of party B; anything else
-    (same-side pairs, double occupancy) is excluded here and accounted for
-    by the completeness check instead.
+    Read from ``detector_distribution``: entry (i, j) is the probability of
+    the two-particle patterns with one slot in bin i of party A and the
+    other in bin j of party B.  Every other pattern (same-side pairs, double
+    occupancy, other particle counts) is left to the completeness check.
     """
-    state = _state_of(run_or_state)
-    if part_a.mode_union() & part_b.mode_union():
-        raise OverlappingPartitions("party partitions share modes")
-    n2 = norm_squared(state)
-    if n2 <= 0.0:
-        raise ZeroNorm("state has zero norm")
+    slots_a, slots_b = part_a.slots, part_b.slots
+    if slots_a.keys() & slots_b.keys():
+        raise OverlappingPartitions("party partitions share detector slots")
     probs = np.zeros((len(part_a.bins), len(part_b.bins)))
-    for mono, amp in state.terms.items():
-        units = mono.ops()
-        a_hits = [part_a.bin_of(m) for m in units]
-        b_hits = [part_b.bin_of(m) for m in units]
-        a_idx = [i for i in a_hits if i is not None]
-        b_idx = [j for j in b_hits if j is not None]
-        if len(a_idx) == 1 and len(b_idx) == 1 and len(units) == 2:
-            probs[a_idx[0], b_idx[0]] += abs(amp) ** 2 * mono.norm_factor() / n2
+    for pattern, p in detector_distribution(state).items():
+        if len(pattern) != 2:
+            continue
+        first, second = pattern
+        if first in slots_b:
+            first, second = second, first
+        if first in slots_a and second in slots_b:
+            probs[slots_a[first], slots_b[second]] += p
     return CoincidenceTable(part_a.labels(), part_b.labels(), probs)
 
 
-def correlation(table: CoincidenceTable, signs: dict = DEFAULT_SIGNS) -> float:
-    """Normalized expectation of the product of the two dichotomic outcomes."""
-    missing = [x for x in (*table.row_labels, *table.col_labels) if x not in signs]
+def correlation(table: CoincidenceTable) -> float:
+    """Normalized expectation of the product of the two dichotomic outcomes.
+
+    A bin counts as +1 or -1 by its label in ``DEFAULT_SIGNS``.
+    """
+    missing = [x for x in (*table.row_labels, *table.col_labels) if x not in DEFAULT_SIGNS]
     if missing:
         raise ValueError(f"sign map lacks labels: {missing}")
     total = table.total()
@@ -186,14 +178,14 @@ def correlation(table: CoincidenceTable, signs: dict = DEFAULT_SIGNS) -> float:
     num = 0.0
     for i, r in enumerate(table.row_labels):
         for j, c in enumerate(table.col_labels):
-            num += signs[r] * signs[c] * table.probs[i, j]
+            num += DEFAULT_SIGNS[r] * DEFAULT_SIGNS[c] * table.probs[i, j]
     return num / total
 
 
 def chsh_value(runner, s: ChshSettings) -> float:
     """|E(a0,b0) + E(a1,b0) + E(a0,b1) - E(a1,b1)| for a dial-pair runner."""
     e = {
-        (a, b): correlation(runner(a, b), s.sign_map)
+        (a, b): correlation(runner(a, b))
         for a in (s.phi_a0, s.phi_a1)
         for b in (s.phi_b0, s.phi_b1)
     }
@@ -205,7 +197,7 @@ def chsh_value(runner, s: ChshSettings) -> float:
     )
 
 
-def chsh_grid_search(runner, dial_grid, sign_map: dict = DEFAULT_SIGNS):
+def chsh_grid_search(runner, dial_grid):
     """Maximize the CHSH combination over all dial quadruples from one grid.
 
     Evaluates the correlation once per grid pair, then scans the quadruples
@@ -218,13 +210,13 @@ def chsh_grid_search(runner, dial_grid, sign_map: dict = DEFAULT_SIGNS):
     g = np.empty((n, n))
     for i, a in enumerate(dials):
         for j, b in enumerate(dials):
-            g[i, j] = correlation(runner(a, b), sign_map)
+            g[i, j] = correlation(runner(a, b))
     combo = (
         g[:, None, :, None] + g[None, :, :, None] + g[:, None, None, :] - g[None, :, None, :]
     )
     flat = np.abs(combo).argmax()
     i0, i1, j0, j1 = np.unravel_index(flat, combo.shape)
-    best = ChshSettings(dials[i0], dials[i1], dials[j0], dials[j1], dict(sign_map))
+    best = ChshSettings(dials[i0], dials[i1], dials[j0], dials[j1])
     return float(np.abs(combo[i0, i1, j0, j1])), best
 
 
@@ -264,12 +256,12 @@ def closed_form_table(kind: str, statistics: Statistics, settings, row_labels=No
     )
 
 
-def sweep(table_fn, grid, signs: dict = DEFAULT_SIGNS):
+def sweep(table_fn, grid):
     """One (settings, table, correlation) record per grid point, in order."""
     records = []
     for settings in grid:
         table = table_fn(settings)
-        records.append(SweepRecord(settings, table, correlation(table, signs)))
+        records.append(SweepRecord(settings, table, correlation(table)))
     return records
 
 
@@ -288,23 +280,11 @@ def factorization_residual(table) -> float:
     return float(np.max(np.abs(m - predicted)))
 
 
-def completeness(run_or_state, basis: ModeBasis) -> float:
+def completeness(state: StateVector, basis: ModeBasis) -> float:
     """Total probability of every detector outcome over the basis.
 
-    Holds for any particle count: each term's Born weight |a|^2 prod n_k!
-    is added to its species-blind detector pattern (detectors cannot tell
-    distinguishable species apart), terms touching a mode outside ``basis``
-    are left out, and the patterns' probabilities are summed in sorted
-    pattern order.
+    The sum, in sorted pattern order, of ``detector_distribution(state,
+    basis)``: any particle count, species-blind, terms touching a mode
+    outside ``basis`` left out.
     """
-    state = _state_of(run_or_state)
-    n2 = norm_squared(state)
-    if n2 <= 0.0:
-        raise ZeroNorm("state has zero norm")
-    inside = set(basis.modes)
-    weights: dict = {}
-    for mono, amp in state.terms.items():
-        if all(m in inside for m, _ in mono.entries):
-            pattern = _species_blind(mono)
-            weights[pattern] = weights.get(pattern, 0.0) + abs(amp) ** 2 * mono.norm_factor()
-    return sum(weights[p] / n2 for p in sorted(weights))
+    return sum(detector_distribution(state, basis).values())

@@ -125,12 +125,12 @@ def _compile_element(el, basis: ModeBasis, params: dict) -> ModeTransform:
         else:
             value = el.arg.value
         return phase_shifter(basis, el.port.name, value)
-    if isinstance(el, SorterStmt):
+    if isinstance(el, (SorterStmt, ExchangeStmt)):
         routing = {r.src.name: r.dst.name for r in el.routes}
-        port = el.port.name if el.port is not None else None
-        return dof_sorter(basis, el.selector, routing, port=port)
-    if isinstance(el, ExchangeStmt):
-        return exchange_wiring(basis, {r.src.name: r.dst.name for r in el.routes})
+        if isinstance(el, SorterStmt) and el.selector == "internal":
+            return dof_sorter(basis, routing, port=el.port.name)
+        # an external sorter permutes the full port set: a complete exchange
+        return exchange_wiring(basis, routing)
     raise TypeError(f"unknown element statement {el!r}")
 
 

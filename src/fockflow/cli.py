@@ -12,13 +12,18 @@ leading minus is not read as an option). A circuit argument is a path to
 a ``.cdl`` file or a name for a bundled one: ``hh``/``hyperhybrid`` is
 ``examples/hh_<stats>.cdl`` (fermion by default) and ``swap`` is
 ``examples/swap.cdl``. The four standard phases are bound to the
-parameters ``$phiL $phiD $phiR $phiU``; ``--param name=value`` binds
-more. ``--kind`` re-bins each party's measured modes by path (ports in
+parameters ``$phiL $phiD $phiR $phiU``: by ``--phase-l/d/r/u`` on
+``table``, by the dials alone on ``chsh`` (which has no ``--phase-*``
+flags and rejects ``--param`` of those four names) and by the grid on
+``sweep``; ``--param name=value`` binds more on ``table`` and ``chsh``.
+``--kind`` re-bins each party's measured modes by path (ports in
 the order the party's measure line first names them) or by spin
 (internal labels in declaration order); without it a circuit is read
 out with its own bins, and its kind is reported in the same path/spin
 vocabulary. ``chsh`` and ``sweep`` need bin labels inside the sign map
-and some coincidence mass at every point they correlate.
+and some coincidence mass at every point they correlate. ``table``
+counts two-particle outcomes only and says so on stderr when the state
+has another particle count.
 ``sweep --steps`` is capped at MAX_SWEEP_STEPS, ``cascade --dofs`` at
 MAX_CASCADE_DOFS and ``signal --mc`` trials x copies at
 experiments.MAX_MC_DRAWS; larger values exit 2.
@@ -34,7 +39,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import norm_squared
+from .algebra import norm_squared, particle_count
 from .analysis import (
     DEFAULT_SIGNS,
     ChshSettings,
@@ -77,6 +82,7 @@ _KINDS = {"path": "external", "spin": "internal"}
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
 _STATS = ("boson", "distinguishable", "fermion")
 _CLONE_STATES = {"z0": Z_ZERO, "z1": Z_ONE, "x+": X_PLUS, "x-": X_MINUS}
+_PHASE_PARAMS = ("phiL", "phiD", "phiR", "phiU")
 
 
 class _InputError(Exception):
@@ -149,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
         phases.add_argument(
             f"--phase-{port}", type=parse_phase, default=0.0, metavar="EXPR"
         )
-    phases.add_argument(
+
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument(
         "--param",
         action="append",
         type=_param_binding,
@@ -174,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fockflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table", parents=[circuit, common, phases], help="coincidence table")
+    sub.add_parser("table", parents=[circuit, common, phases, params], help="coincidence table")
 
-    p = sub.add_parser("chsh", parents=[circuit, common, phases], help="CHSH combination")
+    p = sub.add_parser("chsh", parents=[circuit, common, params], help="CHSH combination")
     p.add_argument(
         "--dials",
         type=_dial_quadruple,
@@ -240,12 +248,8 @@ def _emit(args, record, human_lines):
 
 
 def _phases_dict(settings: PhaseSettings) -> dict:
-    return {
-        "phiL": settings.phi_l,
-        "phiD": settings.phi_d,
-        "phiR": settings.phi_r,
-        "phiU": settings.phi_u,
-    }
+    phases = (settings.phi_l, settings.phi_d, settings.phi_r, settings.phi_u)
+    return dict(zip(_PHASE_PARAMS, phases))
 
 
 def _table_json(table) -> dict:
@@ -340,6 +344,12 @@ def cmd_table(args) -> int:
     settings = PhaseSettings(args.phase_l, args.phase_d, args.phase_r, args.phase_u)
     stats_name, kind, _, run = _runner(args)
     compiled, state, table = run(settings)
+    count = particle_count(state)
+    if count != 2:
+        print(
+            f"note: the table counts two-particle outcomes only; this state has {count} particles",
+            file=sys.stderr,
+        )
     comp = completeness(state, compiled.basis)
     if abs(comp - 1.0) > args.tolerance:
         raise _NumericFailure(f"outcome probabilities sum to {comp!r}, not 1")
@@ -367,6 +377,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_chsh(args) -> int:
+    dialed = [name for name, _ in args.param or [] if name in _PHASE_PARAMS]
+    if dialed:
+        raise _InputError(
+            f"--param {', '.join(dialed)}: chsh binds {', '.join(_PHASE_PARAMS)} from its dials"
+        )
     stats_name, kind, _, run = _runner(args, signed=True)
 
     def runner(a, b):

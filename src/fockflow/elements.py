@@ -187,62 +187,37 @@ def hybrid_beam_splitter(basis, in_a, in_b, out_t=None, out_r=None):
     )
 
 
-def _permutation(basis: ModeBasis, port_map, name: str) -> ModeTransform:
-    """Permutation matrix moving (s, e) -> (s, port_map[e]) for every species."""
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for m, mode in enumerate(basis.modes):
-        target = basis.mode(mode.internal.name, port_map[mode.external.name], mode.species)
-        mat[basis.index_of(target), m] = 1.0
-    return ModeTransform(basis, mat, name)
+def dof_sorter(basis: ModeBasis, routing: dict, port: str | None = None):
+    """Route the particles arriving at ``port`` by their internal label.
 
-
-def dof_sorter(basis: ModeBasis, selector: str, routing: dict, port: str | None = None):
-    """Route particles to output ports according to one degree of freedom.
-
-    selector "internal" sorts the particles arriving at ``port``: a particle
-    with internal label s is sent to external port routing[s].  The matrix
-    is the product of the transpositions (s, port) <-> (s, routing[s]), so
-    it is its own inverse; routed-to ports are expected to be unoccupied
-    upstream, the way a fresh detector rail is.
-
-    selector "external" relabels ports wholesale: routing must be a total
-    permutation of the external label set.
+    A particle with internal label s is sent to external port routing[s].
+    The matrix is the product of the transpositions (s, port) <-> (s,
+    routing[s]), so it is its own inverse; routed-to ports are expected to
+    be unoccupied upstream, the way a fresh detector rail is.  Sorting by
+    the external label is a wholesale port permutation: ``exchange_wiring``.
     """
-    if selector == "internal":
-        if port is None:
-            raise ValueError("internal sorter needs the input port it sorts")
-        _external(basis, port)
-        missing = [s for s in basis.internals if s not in routing]
-        if missing:
-            raise IncompleteRouting(f"internal labels without a route: {missing}")
-        targets = [routing[s] for s in basis.internals]
-        for tgt in targets:
-            _external(basis, tgt)
-        if len(set(targets)) != len(targets):
-            raise NotBijective(f"internal sorter targets must be distinct: {targets}")
-        port_map_per_internal = {s: routing[s] for s in basis.internals}
-        mat = np.eye(len(basis), dtype=complex)
-        for sp in basis.species:
-            for s, tgt in port_map_per_internal.items():
-                if tgt == port:
-                    continue
-                a = basis.index_of(basis.mode(s, port, sp))
-                b = basis.index_of(basis.mode(s, tgt, sp))
-                mat[a, a] = mat[b, b] = 0.0
-                mat[b, a] = mat[a, b] = 1.0
-        return ModeTransform(basis, mat, f"sorter internal {port}")
-    if selector == "external":
-        missing = [e for e in basis.externals if e not in routing]
-        if missing:
-            raise IncompleteRouting(f"external labels without a route: {missing}")
-        for tgt in routing.values():
-            _external(basis, tgt)
-        if sorted(routing[e] for e in basis.externals) != sorted(basis.externals):
-            raise NotBijective(f"external routing is not a permutation: {routing}")
-        return ModeTransform(
-            basis, _permutation(basis, routing, "").matrix, "sorter external"
-        )
-    raise ValueError(f"selector must be 'internal' or 'external', got {selector!r}")
+    if port is None:
+        raise ValueError("internal sorter needs the input port it sorts")
+    _external(basis, port)
+    missing = [s for s in basis.internals if s not in routing]
+    if missing:
+        raise IncompleteRouting(f"internal labels without a route: {missing}")
+    targets = [routing[s] for s in basis.internals]
+    for tgt in targets:
+        _external(basis, tgt)
+    if len(set(targets)) != len(targets):
+        raise NotBijective(f"internal sorter targets must be distinct: {targets}")
+    mat = np.eye(len(basis), dtype=complex)
+    for sp in basis.species:
+        for s in basis.internals:
+            tgt = routing[s]
+            if tgt == port:
+                continue
+            a = basis.index_of(basis.mode(s, port, sp))
+            b = basis.index_of(basis.mode(s, tgt, sp))
+            mat[a, a] = mat[b, b] = 0.0
+            mat[b, a] = mat[a, b] = 1.0
+    return ModeTransform(basis, mat, f"sorter internal {port}")
 
 
 def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
@@ -250,7 +225,8 @@ def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
 
     Targets that are not themselves relabeled are sent back to the head of
     their chain, so a one-way map like {D: DA} completes to the swap
-    {D: DA, DA: D}; unmentioned ports stay fixed.
+    {D: DA, DA: D}; unmentioned ports stay fixed.  The result is the
+    permutation matrix moving (s, e) -> (s, complete[e]) for every species.
     """
     for k, v in relabel.items():
         _external(basis, k)
@@ -269,7 +245,11 @@ def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
         complete.setdefault(e, e)
     if sorted(complete.values()) != sorted(basis.externals):
         raise NotBijective(f"completed relabel is not a permutation: {complete}")
-    return _permutation(basis, complete, "exchange")
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for m, mode in enumerate(basis.modes):
+        target = basis.mode(mode.internal.name, complete[mode.external.name], mode.species)
+        mat[basis.index_of(target), m] = 1.0
+    return ModeTransform(basis, mat, "exchange")
 
 
 def compose(stages, basis: ModeBasis | None = None) -> ModeTransform:

@@ -105,12 +105,6 @@ class PhaseSettings:
         """The single angle all coincidence tables depend on."""
         return (self.phi_d - self.phi_l - self.phi_r + self.phi_u) / 2.0
 
-    def alice_phase(self) -> float:
-        return self.phi_d - self.phi_l
-
-    def bob_phase(self) -> float:
-        return self.phi_r - self.phi_u
-
 
 @dataclass(frozen=True)
 class CircuitRun:
@@ -223,7 +217,7 @@ def run_table(run: CircuitRun, kind: str) -> CoincidenceTable:
     kind_a, kind_b = kind.split("-")
     names = {"path": "external", "spin": "internal"}
     return coincidence_table(
-        run, partition(run, "A", names[kind_a]), partition(run, "B", names[kind_b])
+        run.final_state, partition(run, "A", names[kind_a]), partition(run, "B", names[kind_b])
     )
 
 

@@ -6,6 +6,12 @@ operators' columns (m^N terms for N operators on m modes), and each product
 is re-ordered with ``canonicalize``.  It shares no code with
 ``algebra.substitute`` beyond ``canonicalize`` and the state types.
 
+``reference_coincidence_table`` tabulates term by term: a monomial of
+two operators lands in cell (i, j) when exactly one of its modes lies in
+bin i of party A and one in bin j of party B, with Born weight
+|a|^2 prod n_k! / norm^2.  ``analysis.coincidence_table`` reads the
+species-blind ``detector_distribution`` instead.
+
 ``reference_decode`` sums the signaling-decode probability exactly, with
 rational arithmetic, over every readout string (2^n of them), where
 ``experiments.signaling_decode_exact`` uses the closed form.
@@ -14,7 +20,10 @@ rational arithmetic, over every readout string (2^n of them), where
 import itertools
 from fractions import Fraction
 
-from fockflow.algebra import VACUUM, StateVector, canonicalize
+import numpy as np
+
+from fockflow.algebra import VACUUM, StateVector, canonicalize, norm_squared
+from fockflow.analysis import CoincidenceTable
 
 
 def reference_substitute(state, transform):
@@ -35,6 +44,24 @@ def reference_substitute(state, transform):
                 continue
             out[new] = out.get(new, 0.0) + sign * weight
     return StateVector(state.statistics, out)
+
+
+def reference_coincidence_table(state, part_a, part_b):
+    def bin_of(part, mode):
+        for i, (_, modes) in enumerate(part.bins):
+            if mode in modes:
+                return i
+        return None
+
+    n2 = norm_squared(state)
+    probs = np.zeros((len(part_a.bins), len(part_b.bins)))
+    for mono, amp in state.terms.items():
+        units = mono.ops()
+        a_idx = [i for i in (bin_of(part_a, m) for m in units) if i is not None]
+        b_idx = [j for j in (bin_of(part_b, m) for m in units) if j is not None]
+        if len(a_idx) == 1 and len(b_idx) == 1 and len(units) == 2:
+            probs[a_idx[0], b_idx[0]] += abs(amp) ** 2 * mono.norm_factor() / n2
+    return CoincidenceTable(part_a.labels(), part_b.labels(), probs)
 
 
 def reference_decode(dofs=None, copies=None) -> float:

@@ -51,6 +51,7 @@ from fockflow.elements import (
     beam_splitter,
     compose,
     dof_sorter,
+    exchange_wiring,
     hybrid_beam_splitter,
     phase_shifter,
     verify_unitary,
@@ -302,11 +303,11 @@ def transform_st(draw, basis=BASIS):
             stages.append(phase_shifter(basis, draw(st.sampled_from(PORTS)), draw(PHASES)))
         elif pick == 3:
             shuffled = draw(st.permutations(PORTS))
-            stages.append(dof_sorter(basis, "external", dict(zip(PORTS, shuffled))))
+            stages.append(exchange_wiring(basis, dict(zip(PORTS, shuffled))))
         else:
             t_down, t_up = draw(st.permutations(PORTS))[:2]
             routing = {"down": t_down, "up": t_up}
-            stages.append(dof_sorter(basis, "internal", routing, port=draw(st.sampled_from(PORTS))))
+            stages.append(dof_sorter(basis, routing, port=draw(st.sampled_from(PORTS))))
     return compose(stages, basis)
 
 

@@ -17,6 +17,7 @@ from fockflow.algebra import (
     amplitude,
     apply_creation,
     canonicalize,
+    detector_distribution,
     norm_squared,
     outcome_probability,
     particle_count,
@@ -298,6 +299,19 @@ class TestOutcomeProbability:
             ((basis.mode("down", "L", species=1), 1), (basis.mode("down", "R", species=2), 1))
         )
         assert outcome_probability(st, pattern) == pytest.approx(1.0)
+
+    def test_detector_distribution_is_sorted_and_species_blind(self):
+        # Hong-Ou-Mandel over two species: no bunching, but the detectors see
+        # only slots, so (L, R) and (R, L) species assignments are one pattern
+        from fockflow.elements import beam_splitter
+
+        basis = ModeBasis(internals=("down",), externals=("L", "R"), species=(1, 2))
+        st = vacuum(Statistics.DISTINGUISHABLE)
+        st = apply_creation(st, basis.mode("down", "L", species=1))
+        st = apply_creation(st, basis.mode("down", "R", species=2))
+        dist = detector_distribution(substitute(st, beam_splitter(basis, "L", "R")))
+        assert list(dist) == [((0, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (1, 0))]
+        assert list(dist.values()) == pytest.approx([0.25, 0.5, 0.25])
 
     def test_probabilities_sum_to_one(self):
         st = vacuum(Statistics.FERMION)

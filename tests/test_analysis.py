@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockflow.algebra import (
     ModeBasis,
@@ -11,6 +13,7 @@ from fockflow.algebra import (
     ZeroNorm,
     add,
     apply_creation,
+    norm_squared,
     scale,
     substitute,
     vacuum,
@@ -32,10 +35,12 @@ from fockflow.analysis import (
     factorization_residual,
     sweep,
 )
-from fockflow.elements import beam_splitter, compose, hybrid_beam_splitter
+from fockflow.elements import beam_splitter, compose, hybrid_beam_splitter, phase_shifter
 from fockflow.experiments import PhaseSettings
+from reference import reference_coincidence_table
 
-BASIS = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U"))
+PORTS = ("L", "D", "R", "U")
+BASIS = ModeBasis(internals=("down", "up"), externals=PORTS)
 
 
 def table_from_E(e):
@@ -188,6 +193,20 @@ class TestCoincidenceTable:
         with pytest.raises(ZeroNorm):
             coincidence_table(scale(vacuum(Statistics.FERMION), 0.0), part_a, part_b)
 
+    def test_parties_sharing_a_slot_through_species_overlap(self):
+        # detectors are species-blind: species 1 and 2 of (down, D) are one slot
+        two = ModeBasis(internals=("down", "up"), externals=PORTS, species=(1, 2))
+        part_a = MeasurementPartition(
+            "A", "external", (("D", frozenset({two.mode("down", "D", species=1)})),)
+        )
+        part_b = MeasurementPartition(
+            "B", "external", (("R", frozenset({two.mode("down", "D", species=2)})),)
+        )
+        with pytest.raises(OverlappingPartitions):
+            coincidence_table(vacuum(Statistics.DISTINGUISHABLE), part_a, part_b)
+        with pytest.raises(OverlappingPartitions):
+            MeasurementPartition("A", "external", part_a.bins + part_b.bins)
+
 
 class TestFactorization:
     def test_product_table_has_zero_residual(self):
@@ -260,3 +279,80 @@ class TestSweepAndEnumeration:
         st = scale(add(inside, outside), 2**-0.5)
         assert completeness(st, wide) == pytest.approx(1.0, abs=1e-12)
         assert completeness(st, BASIS) == pytest.approx(0.5, abs=1e-12)
+
+
+@st.composite
+def readout_case(draw):
+    """A two-particle state after a random bs/hbs/phase mesh, plus species-complete partitions.
+
+    Boson, fermion, and distinguishable particles over 2 or 3 species; every
+    slot (internal, port) goes to one bin of A, one bin of B, or none, and a
+    bin holds every species of its slots, as ``_compile_measure`` builds them.
+    """
+    species = draw(st.sampled_from([(0,), (0,), (1, 2), (1, 2, 3)]))
+    if species != (0,):
+        statistics = Statistics.DISTINGUISHABLE
+    else:
+        statistics = draw(st.sampled_from([Statistics.BOSON, Statistics.FERMION]))
+    basis = ModeBasis(internals=("down", "up"), externals=PORTS, species=species)
+    slots = [(i, p) for i in basis.internals for p in PORTS]
+    picked = draw(
+        st.lists(
+            st.sampled_from(slots),
+            min_size=2,
+            max_size=2,
+            unique=statistics is Statistics.FERMION,
+        )
+    )
+    tags = draw(st.permutations(species))[:2] if len(species) > 1 else species * 2
+    state = vacuum(statistics)
+    for (internal, port), sp in zip(picked, tags):
+        state = apply_creation(state, basis.mode(internal, port, species=sp))
+    state = scale(state, norm_squared(state) ** -0.5)  # two bosons in one mode
+
+    stages = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        pick = draw(st.sampled_from(["bs", "hbs", "phase"]))
+        if pick == "phase":
+            port = draw(st.sampled_from(PORTS))
+            stages.append(phase_shifter(basis, port, draw(st.floats(0, 6.3))))
+            continue
+        a, b, t, r = draw(st.permutations(PORTS))
+        if draw(st.booleans()):
+            t, r = a, b
+        build = beam_splitter if pick == "bs" else hybrid_beam_splitter
+        stages.append(build(basis, a, b, t, r))
+    state = substitute(state, compose(stages))
+
+    n_a, n_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    owner = draw(st.lists(st.integers(-1, n_a + n_b - 1), min_size=len(slots), max_size=len(slots)))
+
+    def bins(labels, offset):
+        return tuple(
+            (
+                label,
+                frozenset(
+                    basis.mode(i, p, species=sp)
+                    for (i, p), k in zip(slots, owner)
+                    if k == offset + n
+                    for sp in species
+                ),
+            )
+            for n, label in enumerate(labels)
+        )
+
+    part_a = MeasurementPartition("A", "external", bins([f"a{n}" for n in range(n_a)], 0))
+    part_b = MeasurementPartition("B", "external", bins([f"b{n}" for n in range(n_b)], n_a))
+    return state, basis, part_a, part_b
+
+
+class TestDetectorReadout:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(readout_case())
+    def test_table_matches_the_per_term_reference(self, case):
+        state, basis, part_a, part_b = case
+        got = coincidence_table(state, part_a, part_b)
+        want = reference_coincidence_table(state, part_a, part_b)
+        assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+        assert np.max(np.abs(got.probs - want.probs)) < 1e-12
+        assert abs(completeness(state, basis) - 1.0) < 1e-12

@@ -161,6 +161,31 @@ class TestTable:
         rec = run_json(capsys, "table", str(f))
         assert rec["metadata"]["completeness"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_other_particle_counts_get_a_note_on_stderr(self, capsys, tmp_path):
+        f = tmp_path / "three.cdl"
+        f.write_text(
+            "internal down up\nexternal L D R U\nstatistics fermion\n"
+            "particle down L\nparticle up D\nparticle down R\n"
+            "hbs R D R D\nbs L U L U\n"
+            "measure A external bin D = D bin L = L\n"
+            "measure B external bin R = R bin U = U\n"
+        )
+        code, out, err = run(capsys, "table", str(f), "--json")
+        assert code == 0
+        assert "two-particle outcomes only" in err and "3 particles" in err
+        rec = json.loads(out)
+        assert rec["table"] == {
+            "row_labels": ["D", "L"],
+            "col_labels": ["R", "U"],
+            "cells": [0.0, 0.0, 0.0, 0.0],
+        }
+        assert rec["E"] is None
+        assert rec["metadata"]["completeness"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_two_particles_leave_stderr_empty(self, capsys):
+        code, _, err = run(capsys, "table", "hh", "--json")
+        assert (code, err) == (0, "")
+
 
 class TestTolerance:
     @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf", "abc"])
@@ -206,6 +231,26 @@ class TestChsh:
         assert code == 2
         assert out == ""
         assert "sign map" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--phase-l=0.2", "--phase-d=1.3", "--phase-r=0.4", "--phase-u=1"]
+    )
+    def test_phase_flags_are_not_options(self, capsys, flag):
+        code, out, err = run(capsys, "chsh", "hh", flag)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("name", ["phiL", "phiD", "phiR", "phiU"])
+    def test_dialed_phases_cannot_be_bound(self, capsys, name):
+        code, out, err = run(capsys, "chsh", "hh", "--param", f"{name}=1.3")
+        assert code == 2
+        assert out == ""
+        assert name in err and "dials" in err
+
+    def test_other_params_still_bind(self, capsys):
+        rec = run_json(capsys, "chsh", "hh", "--param", "theta=1.3")
+        assert rec["chsh"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
 
 SAME_SIDE = """\

@@ -33,8 +33,7 @@ def constructors():
         beam_splitter(BASIS, "L", "U"),
         beam_splitter(BASIS, "L", "U", "R", "D"),
         hybrid_beam_splitter(BASIS, "R", "D"),
-        dof_sorter(BASIS, "internal", {"down": "L", "up": "R"}, port="L"),
-        dof_sorter(BASIS, "external", {"L": "D", "D": "L", "R": "R", "U": "U"}),
+        dof_sorter(BASIS, {"down": "L", "up": "R"}, port="L"),
         exchange_wiring(BASIS, {"L": "R"}),
     ]
 
@@ -141,7 +140,7 @@ def assert_permutation(t):
 
 class TestSorters:
     def test_internal_sorter_routes_by_label(self):
-        t = dof_sorter(BASIS, "internal", {"down": "L", "up": "R"}, port="L")
+        t = dof_sorter(BASIS, {"down": "L", "up": "R"}, port="L")
         assert_permutation(t)
         # a down particle at L stays, an up particle at L moves to R
         down_l = BASIS.index_of(BASIS.mode("down", "L"))
@@ -152,7 +151,7 @@ class TestSorters:
         assert t.matrix[up_l, up_l] == 0
 
     def test_internal_sorter_is_involution(self):
-        t = dof_sorter(BASIS, "internal", {"down": "D", "up": "U"}, port="L")
+        t = dof_sorter(BASIS, {"down": "D", "up": "U"}, port="L")
         assert np.allclose(t.matrix @ t.matrix, np.eye(len(BASIS)))
 
     def test_sorter_preserves_sorted_dof_distribution(self):
@@ -161,7 +160,7 @@ class TestSorters:
         st = vacuum(Statistics.BOSON)
         st = apply_creation(st, BASIS.mode("down", "L"))
         st = substitute(st, hybrid_beam_splitter(BASIS, "L", "U"))
-        t = dof_sorter(BASIS, "internal", {"down": "D", "up": "R"}, port="L")
+        t = dof_sorter(BASIS, {"down": "D", "up": "R"}, port="L")
 
         def internal_marginal(state):
             out = {}
@@ -176,32 +175,15 @@ class TestSorters:
 
     def test_incomplete_routing(self):
         with pytest.raises(IncompleteRouting):
-            dof_sorter(BASIS, "internal", {"down": "L"}, port="L")
-        with pytest.raises(IncompleteRouting):
-            dof_sorter(BASIS, "external", {"L": "R"})
+            dof_sorter(BASIS, {"down": "L"}, port="L")
 
     def test_internal_sorter_needs_port(self):
         with pytest.raises(ValueError):
-            dof_sorter(BASIS, "internal", {"down": "L", "up": "R"})
+            dof_sorter(BASIS, {"down": "L", "up": "R"})
 
     def test_colliding_targets_rejected(self):
         with pytest.raises(NotBijective):
-            dof_sorter(BASIS, "internal", {"down": "R", "up": "R"}, port="L")
-
-    def test_external_sorter_permutes(self):
-        t = dof_sorter(BASIS, "external", {"L": "D", "D": "L", "R": "U", "U": "R"})
-        assert_permutation(t)
-        src = BASIS.index_of(BASIS.mode("up", "L"))
-        dst = BASIS.index_of(BASIS.mode("up", "D"))
-        assert t.matrix[dst, src] == 1
-
-    def test_external_sorter_rejects_non_permutation(self):
-        with pytest.raises(NotBijective):
-            dof_sorter(BASIS, "external", {"L": "D", "D": "D", "R": "R", "U": "U"})
-
-    def test_bad_selector(self):
-        with pytest.raises(ValueError):
-            dof_sorter(BASIS, "species", {})
+            dof_sorter(BASIS, {"down": "R", "up": "R"}, port="L")
 
 
 class TestExchange:

@@ -73,7 +73,7 @@ class TestCircuitStates:
     def test_completeness(self):
         for stats in Statistics:
             run = hyper_hybrid_circuit(stats, SETTINGS)
-            assert completeness(run, run.basis) == pytest.approx(1.0, abs=1e-12)
+            assert completeness(run.final_state, run.basis) == pytest.approx(1.0, abs=1e-12)
 
     def test_swap_requires_bosons(self):
         with pytest.raises(ValueError, match="boson"):
