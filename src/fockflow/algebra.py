@@ -106,14 +106,18 @@ class ModeBasis:
     """The declared label sets and the ordered mode list they generate.
 
     ``modes`` enumerates every (species, internal, external) combination in
-    canonical order; matrices over the basis index rows and columns by this
-    enumeration.
+    canonical ``order_key`` order, whatever order ``species`` is declared
+    in, so a basis index is a canonical rank; matrices over the basis index
+    rows and columns by it.  ``modes`` is one block per species, each block
+    listing the same (internal, external) slots; ``slots`` maps a slot's
+    (internal name, external name) to its position inside every block.
     """
 
     internals: tuple[str, ...]
     externals: tuple[str, ...]
     species: tuple[int, ...] = (INDISTINCT_SPECIES,)
     modes: tuple[Mode, ...] = field(init=False, compare=False, repr=False)
+    slots: dict = field(init=False, compare=False, repr=False)
     _index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -126,13 +130,11 @@ class ModeBasis:
             raise ValueError(f"species ids must be nonempty and unique: {self.species!r}")
         ints = [Label(n, i) for i, n in enumerate(self.internals)]
         exts = [Label(n, i) for i, n in enumerate(self.externals)]
-        modes = tuple(
-            Mode(sp, il, el)
-            for sp in self.species
-            for el in exts
-            for il in ints
-        )
+        block = [(il, el) for el in exts for il in ints]
+        modes = tuple(Mode(sp, il, el) for sp in sorted(self.species) for il, el in block)
         object.__setattr__(self, "modes", modes)
+        slots = {(il.name, el.name): k for k, (il, el) in enumerate(block)}
+        object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "_index", {m: k for k, m in enumerate(modes)})
 
     def __len__(self) -> int:
@@ -256,34 +258,16 @@ def vacuum(statistics: Statistics) -> StateVector:
     return StateVector(statistics, {VACUUM: 1.0 + 0.0j})
 
 
-def _insert_left(monomial: Monomial, mode: Mode, statistics: Statistics):
-    """Left-multiply a canonical monomial by one creation operator."""
-    key = mode.order_key()
-    crossed = 0
-    entries = list(monomial.entries)
-    for pos, (m, occ) in enumerate(entries):
-        mk = m.order_key()
-        if mk < key:
-            crossed += occ
-            continue
-        if mk == key:
-            if statistics is Statistics.FERMION:
-                return 0, None
-            entries[pos] = (m, occ + 1)
-            return 1, Monomial(tuple(entries))
-        entries.insert(pos, (mode, 1))
-        break
-    else:
-        entries.append((mode, 1))
-    sign = -1 if (statistics is Statistics.FERMION and crossed % 2) else 1
-    return sign, Monomial(tuple(entries))
-
-
 def apply_creation(state: StateVector, mode: Mode) -> StateVector:
-    """Multiply every term of the state by a creation operator on the left."""
+    """Multiply every term of the state by a creation operator on the left.
+
+    Each product ``mode * monomial`` is brought to canonical order by
+    ``canonicalize``, the one reordering rule: a fermion crossing p
+    operators picks up (-1)**p, and a repeated fermionic mode drops the term.
+    """
     out: dict = {}
     for mono, amp in state.terms.items():
-        sign, new = _insert_left(mono, mode, state.statistics)
+        sign, new = canonicalize([mode, *mono.ops()], state.statistics)
         if new is None:
             continue
         out[new] = out.get(new, 0.0) + sign * amp
@@ -295,33 +279,27 @@ def substitute(state: StateVector, transform) -> StateVector:
 
     Each a_m^dag is replaced by sum_n T[n, m] a_n^dag and like monomials
     merge.  The transform only needs ``basis`` and ``columns`` attributes
-    (see ``elements.ModeTransform``).
+    (see ``elements.ModeTransform``): ``columns[k]`` lists column k's
+    nonzeros as (row index, value) pairs.
 
     Each input monomial is expanded one factor at a time, right to left:
     every partial product is left-multiplied by the next factor's column
     and like partial products merge before the following factor.  Partial
-    products are sorted tuples of mode ranks in canonical (``order_key``)
-    order, so a left insertion at position p crosses p operators: fermions
-    pick up (-1)**p and vanish on a repeated rank, other statistics just
-    insert.  Work therefore grows with the number of distinct partial
-    products (at most C(m + N - 1, N) for N particles in m modes, C(m, N)
-    for fermions) times the column size, not with the m^N terms of the
-    full distributive expansion.
+    products are sorted tuples of basis indices, which are canonical
+    (``order_key``) ranks, so a left insertion at position p crosses p
+    operators: fermions pick up (-1)**p and vanish on a repeated rank,
+    other statistics just insert.  Work therefore grows with the number of
+    distinct partial products (at most C(m + N - 1, N) for N particles in
+    m modes, C(m, N) for fermions) times the column size, not with the m^N
+    terms of the full distributive expansion.
     """
     fermion = state.statistics is Statistics.FERMION
-    basis = transform.basis
-    ranked = sorted(basis.modes, key=Mode.order_key)
-    rank = {m: r for r, m in enumerate(ranked)}
-    columns: dict = {}
+    basis, columns = transform.basis, transform.columns
     merged: dict = {}
     for mono, amp in state.terms.items():
         partial = {(): amp}
         for mode in reversed(mono.ops()):
-            k = basis.index_of(mode)
-            column = columns.get(k)
-            if column is None:
-                column = [(rank[m], complex(v)) for m, v in transform.columns[k]]
-                columns[k] = column
+            column = columns[basis.index_of(mode)]
             grown: dict = {}
             for ranks, weight in partial.items():
                 for r, v in column:
@@ -336,7 +314,7 @@ def substitute(state: StateVector, transform) -> StateVector:
             partial = grown
         for ranks, weight in partial.items():
             merged[ranks] = merged.get(ranks, 0.0) + weight
-    out = {_grouped([ranked[r] for r in ranks]): w for ranks, w in merged.items()}
+    out = {_grouped([basis.modes[r] for r in ranks]): w for ranks, w in merged.items()}
     return StateVector(state.statistics, out)
 
 

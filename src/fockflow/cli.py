@@ -14,8 +14,9 @@ a ``.cdl`` file or a name for a bundled one: ``hh``/``hyperhybrid`` is
 ``examples/swap.cdl``. The four standard phases are bound to the
 parameters ``$phiL $phiD $phiR $phiU``: by ``--phase-l/d/r/u`` on
 ``table``, by the dials alone on ``chsh`` (which has no ``--phase-*``
-flags and rejects ``--param`` of those four names) and by the grid on
-``sweep``; ``--param name=value`` binds more on ``table`` and ``chsh``.
+flags and runs each dial pair once) and by the grid on ``sweep``;
+``--param name=value`` binds more on ``table`` and ``chsh`` and exits 2
+on those four names.
 ``--kind`` re-bins each party's measured modes by path (ports in
 the order the party's measure line first names them) or by spin
 (internal labels in declaration order); without it a circuit is read
@@ -32,6 +33,7 @@ experiments.MAX_MC_DRAWS; larger values exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -282,7 +284,8 @@ def _runner(args, signed: bool = False):
 
     ``run(settings)`` compiles at those phases, executes, checks the norm
     against --tolerance and returns (compiled, state, coincidence table).
-    ``signed`` rejects bin labels outside the correlation sign map.
+    ``signed`` rejects bin labels outside the correlation sign map, and
+    ``--param`` may not bind a standard phase, which each command binds itself.
     """
     path = _circuit_path(args)
     tree = _read_tree(path)
@@ -292,6 +295,12 @@ def _runner(args, signed: bool = False):
             f" 'statistics {tree.statistics}'"
         )
     extra = dict(getattr(args, "param", None) or [])
+    bound = [name for name in extra if name in _PHASE_PARAMS]
+    if bound:
+        raise _InputError(
+            f"--param {', '.join(bound)}: {', '.join(_PHASE_PARAMS)} are bound by"
+            " --phase-l/d/r/u on table and by the dials on chsh"
+        )
 
     def compiled_at(settings: PhaseSettings):
         try:
@@ -377,14 +386,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    dialed = [name for name, _ in args.param or [] if name in _PHASE_PARAMS]
-    if dialed:
-        raise _InputError(
-            f"--param {', '.join(dialed)}: chsh binds {', '.join(_PHASE_PARAMS)} from its dials"
-        )
     stats_name, kind, _, run = _runner(args, signed=True)
 
-    def runner(a, b):
+    @functools.cache
+    def runner(a, b):  # the search or chsh_value, then the E lines, read each pair
         return run(dial_settings(a, b))[2]
 
     if args.search:

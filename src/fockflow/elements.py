@@ -11,17 +11,20 @@ Conventions frozen here:
   flips it (with the i) on reflection; it requires a two-element internal
   label set.
 - Elements act identically on every species: passive optics cannot address
-  particle identity.
+  particle identity.  Every element is built by ``_slot_element`` as one
+  species' slot matrix repeated down the block diagonal, so this holds by
+  construction.
 - Sorters and exchange wirings are permutation matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import Mode, ModeBasis, UnknownMode
+from .algebra import ModeBasis, UnknownMode
 
 __all__ = [
     "ModeTransform",
@@ -67,14 +70,16 @@ class BasisMismatch(ValueError):
 class ModeTransform:
     """A linear map on creation operators over a fixed mode basis.
 
-    ``columns[m]`` caches the nonzero entries of column m as (mode, value)
-    pairs; substitution iterates these instead of scanning the dense matrix.
+    ``columns[m]`` holds the entries of column m above
+    ``COLUMN_DROP_TOLERANCE`` as (row index, complex value) pairs, row
+    indices ascending; substitution iterates these instead of scanning the
+    dense matrix.  They are built on first read, so only the transforms
+    that ``substitute`` sees (usually the composed one) pay for them.
     """
 
     basis: ModeBasis
     matrix: np.ndarray
     name: str = ""
-    columns: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.basis)
@@ -83,18 +88,34 @@ class ModeTransform:
             raise ValueError(f"matrix shape {mat.shape} does not match basis size {n}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        cols = []
-        for m in range(n):
-            col = tuple(
-                (self.basis.modes[k], mat[k, m])
-                for k in np.flatnonzero(np.abs(mat[:, m]) > COLUMN_DROP_TOLERANCE)
-            )
-            cols.append(col)
-        object.__setattr__(self, "columns", tuple(cols))
+
+    @cached_property
+    def columns(self) -> tuple:
+        keep = np.abs(self.matrix) > COLUMN_DROP_TOLERANCE
+        return tuple(
+            tuple(zip(np.flatnonzero(k).tolist(), col[k].tolist()))
+            for col, k in zip(self.matrix.T, keep.T)
+        )
 
 
 def identity(basis: ModeBasis, name: str = "identity") -> ModeTransform:
-    return ModeTransform(basis, np.eye(len(basis), dtype=complex), name)
+    return _slot_element(basis, {}, name)
+
+
+def _slot_element(basis: ModeBasis, moves: dict, name: str) -> ModeTransform:
+    """The element sending each moved slot to its images, on every species alike.
+
+    ``moves`` maps an (internal, external) name pair to its (output pair,
+    amplitude) images; slots it does not name pass through.  The slot
+    matrix over ``basis.slots`` fills every species block of the diagonal.
+    """
+    slots = np.eye(len(basis.slots), dtype=complex)
+    for source, images in moves.items():
+        m = basis.slots[source]
+        slots[m, m] = 0.0
+        for target, amp in images:
+            slots[basis.slots[target], m] = amp
+    return ModeTransform(basis, np.kron(np.eye(len(basis.species)), slots), name)
 
 
 def _external(basis: ModeBasis, name: str) -> str:
@@ -106,12 +127,9 @@ def _external(basis: ModeBasis, name: str) -> str:
 def phase_shifter(basis: ModeBasis, port: str, phase: float) -> ModeTransform:
     """e^{i phase} on every mode at the given external port, identity elsewhere."""
     _external(basis, port)
-    mat = np.eye(len(basis), dtype=complex)
     factor = np.exp(1j * phase)
-    for k, mode in enumerate(basis.modes):
-        if mode.external.name == port:
-            mat[k, k] = factor
-    return ModeTransform(basis, mat, f"phase {port} {phase:g}")
+    moves = {(il, port): [((il, port), factor)] for il in basis.internals}
+    return _slot_element(basis, moves, f"phase {port} {phase:g}")
 
 
 def _splitter(basis, in_a, in_b, out_t, out_r, flip, name):
@@ -127,26 +145,19 @@ def _splitter(basis, in_a, in_b, out_t, out_r, flip, name):
             f"output ports must reuse both input ports or neither: {sorted(ins)} vs {sorted(outs)}"
         )
 
-    def image(label):
-        return label if flip is None else flip[label]
-
+    flip = flip or {il: il for il in basis.internals}
     t, r = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
-    mat = np.eye(len(basis), dtype=complex)
     # (input port, transmitted port, reflected port); disjoint output pairs
     # get the reverse direction filled with the same mixer to stay unitary
     routes = [(in_a, out_t, out_r), (in_b, out_r, out_t)]
     if ins != outs:
         routes += [(out_t, in_a, in_b), (out_r, in_b, in_a)]
-    for sp in basis.species:
-        for il in basis.internals:
-            for port, _, _ in routes:
-                k = basis.index_of(basis.mode(il, port, sp))
-                mat[k, k] = 0.0
-            for port, p_t, p_r in routes:
-                m = basis.index_of(basis.mode(il, port, sp))
-                mat[basis.index_of(basis.mode(il, p_t, sp)), m] = t
-                mat[basis.index_of(basis.mode(image(il), p_r, sp)), m] = r
-    return ModeTransform(basis, mat, name)
+    moves = {
+        (il, port): [((il, p_t), t), ((flip[il], p_r), r)]
+        for il in basis.internals
+        for port, p_t, p_r in routes
+    }
+    return _slot_element(basis, moves, name)
 
 
 def beam_splitter(basis, in_a, in_b, out_t=None, out_r=None):
@@ -207,17 +218,12 @@ def dof_sorter(basis: ModeBasis, routing: dict, port: str | None = None):
         _external(basis, tgt)
     if len(set(targets)) != len(targets):
         raise NotBijective(f"internal sorter targets must be distinct: {targets}")
-    mat = np.eye(len(basis), dtype=complex)
-    for sp in basis.species:
-        for s in basis.internals:
-            tgt = routing[s]
-            if tgt == port:
-                continue
-            a = basis.index_of(basis.mode(s, port, sp))
-            b = basis.index_of(basis.mode(s, tgt, sp))
-            mat[a, a] = mat[b, b] = 0.0
-            mat[b, a] = mat[a, b] = 1.0
-    return ModeTransform(basis, mat, f"sorter internal {port}")
+    moves = {}
+    for s in basis.internals:
+        if routing[s] != port:
+            moves[(s, port)] = [((s, routing[s]), 1.0)]
+            moves[(s, routing[s])] = [((s, port), 1.0)]
+    return _slot_element(basis, moves, f"sorter internal {port}")
 
 
 def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
@@ -245,11 +251,8 @@ def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
         complete.setdefault(e, e)
     if sorted(complete.values()) != sorted(basis.externals):
         raise NotBijective(f"completed relabel is not a permutation: {complete}")
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for m, mode in enumerate(basis.modes):
-        target = basis.mode(mode.internal.name, complete[mode.external.name], mode.species)
-        mat[basis.index_of(target), m] = 1.0
-    return ModeTransform(basis, mat, "exchange")
+    moves = {(il, e): [((il, complete[e]), 1.0)] for il in basis.internals for e in complete}
+    return _slot_element(basis, moves, "exchange")
 
 
 def compose(stages, basis: ModeBasis | None = None) -> ModeTransform:

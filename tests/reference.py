@@ -34,7 +34,7 @@ def reference_substitute(state, transform):
         if not mono.entries:
             out[VACUUM] = out.get(VACUUM, 0.0) + amp
             continue
-        expansions = [columns[basis.index_of(m)] for m in mono.ops()]
+        expansions = [[(basis.modes[k], v) for k, v in columns[basis.index_of(m)]] for m in mono.ops()]
         for combo in itertools.product(*expansions):
             weight = amp
             for _, v in combo:

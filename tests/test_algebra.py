@@ -86,6 +86,17 @@ class TestModeBasis:
         assert len(two) == 8
         assert two.modes[0].species == 1 and two.modes[4].species == 2
 
+    @pytest.mark.parametrize("species", [(0,), (1, 2), (2, 1), (3, 1, 2)])
+    def test_index_is_canonical_rank(self, species):
+        basis = ModeBasis(internals=("h", "v"), externals=("L", "R", "U"), species=species)
+        ranked = sorted(basis.modes, key=Mode.order_key)
+        for rank, mode in enumerate(ranked):
+            assert basis.index_of(mode) == rank
+        for (internal, external), slot in basis.slots.items():
+            for block, sp in enumerate(sorted(species)):
+                mode = basis.mode(internal, external, species=sp)
+                assert basis.index_of(mode) == block * len(basis.slots) + slot
+
 
 class TestCanonicalize:
     def test_pauli_exclusion(self):
@@ -231,7 +242,7 @@ class TestSubstitute:
 
     @pytest.mark.parametrize("stats", list(Statistics))
     def test_non_ascending_species_stay_canonical(self, stats):
-        # rank order (species ascending) differs from the basis enumeration here
+        # species declared out of order; the basis still enumerates by rank
         basis = ModeBasis(internals=("h", "v"), externals=("L", "R"), species=(2, 1))
         t = ModeTransform(basis, random_unitary(len(basis), seed=11))
         st = scale(vacuum(stats), 0.5)

@@ -9,6 +9,7 @@ import pytest
 
 from fockflow import cli
 from fockflow.algebra import StateVector
+from fockflow.cdl import execute
 from fockflow.cli import main, parse_phase
 from fockflow.experiments import MAX_MC_DRAWS
 
@@ -53,6 +54,14 @@ class TestTable:
         rec = run_json(capsys, "table", "swap", "--phase-d=pi/2")
         assert rec["table"]["cells"] == pytest.approx([0.125] * 4, abs=1e-9)
         assert rec["table"]["row_labels"] == ["H", "V"]
+
+    @pytest.mark.parametrize("name", ["phiL", "phiD", "phiR", "phiU"])
+    def test_standard_phases_cannot_be_bound_by_param(self, capsys, name):
+        # the record reports the --phase-* values, so --param must not override them
+        code, out, err = run(capsys, "table", "hh", "--param", f"{name}=1.3", "--json")
+        assert code == 2
+        assert out == ""
+        assert name in err and "--phase" in err
 
     def test_human_output_mentions_completeness(self, capsys):
         code, out, _ = run(capsys, "table", "hh")
@@ -251,6 +260,19 @@ class TestChsh:
     def test_other_params_still_bind(self, capsys):
         rec = run_json(capsys, "chsh", "hh", "--param", "theta=1.3")
         assert rec["chsh"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+
+    @pytest.mark.parametrize("argv, runs", [(["chsh", "hh"], 4), (["chsh", "hh", "--search"], 256)])
+    def test_each_dial_pair_runs_once(self, capsys, monkeypatch, argv, runs):
+        calls = []
+
+        def counted(compiled):
+            calls.append(compiled)
+            return execute(compiled)
+
+        monkeypatch.setattr(cli, "execute", counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == runs
 
 
 SAME_SIDE = """\

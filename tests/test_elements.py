@@ -7,6 +7,7 @@ import pytest
 
 from fockflow.algebra import ModeBasis, Statistics, UnknownMode, apply_creation, substitute, vacuum
 from fockflow.elements import (
+    COLUMN_DROP_TOLERANCE,
     BasisMismatch,
     DuplicatePort,
     IncompleteRouting,
@@ -267,3 +268,38 @@ class TestCompose:
             hybrid_beam_splitter(BASIS, "R", "U"),
         ]
         assert verify_unitary(compose(stages), 1e-12)
+
+
+TWO_SPECIES = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U"), species=(2, 1))
+ELEMENTS = {
+    "phase": lambda b: phase_shifter(b, "D", 0.37),
+    "bs": lambda b: beam_splitter(b, "L", "U", "R", "D"),
+    "hbs": lambda b: hybrid_beam_splitter(b, "R", "D"),
+    "sorter": lambda b: dof_sorter(b, {"down": "L", "up": "R"}, port="L"),
+    "exchange": lambda b: exchange_wiring(b, {"L": "R", "D": "U"}),
+}
+
+
+class TestSpeciesBlind:
+    @pytest.mark.parametrize("build", ELEMENTS.values(), ids=ELEMENTS.keys())
+    def test_every_species_gets_the_one_species_matrix(self, build):
+        # declared out of order: the basis still lists species 1 before 2
+        want = np.kron(np.eye(2), build(BASIS).matrix)
+        assert np.array_equal(build(TWO_SPECIES).matrix, want)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("build", ELEMENTS.values(), ids=ELEMENTS.keys())
+    def test_columns_are_the_nonzeros_above_tolerance(self, build):
+        mat = build(TWO_SPECIES).matrix.copy()
+        mat[0, 1] = COLUMN_DROP_TOLERANCE  # at the tolerance: dropped
+        mat[1, 0] = 2 * COLUMN_DROP_TOLERANCE  # above it: kept
+        t = ModeTransform(TWO_SPECIES, mat)
+        assert len(t.columns) == len(TWO_SPECIES)
+        for m, column in enumerate(t.columns):
+            rows = [k for k in range(len(TWO_SPECIES)) if abs(mat[k, m]) > COLUMN_DROP_TOLERANCE]
+            assert [k for k, _ in column] == rows
+            for k, v in column:
+                assert type(k) is int and type(v) is complex
+                assert v == mat[k, m]
+        assert (1, complex(2 * COLUMN_DROP_TOLERANCE)) in t.columns[0]

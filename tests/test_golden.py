@@ -33,6 +33,8 @@ def _commands():
         ("sweep", "hh", "--stats", s, "--kind", k, "--steps", "2") for s in STATS for k in KINDS
     ]
     commands.append(("sweep", "swap", "--steps", "2"))
+    commands += [("sweep", "hh", "--stats", s, "--steps", "3") for s in STATS]
+    commands.append(("sweep", "swap", "--steps", "3"))
     return commands
 
 
