@@ -25,7 +25,6 @@ __all__ = [
     "CoincidenceTable",
     "ChshSettings",
     "DetectorDistribution",
-    "SweepRecord",
     "OverlappingPartitions",
     "ZeroCoincidenceMass",
     "DEFAULT_SIGNS",
@@ -34,7 +33,6 @@ __all__ = [
     "chsh_value",
     "chsh_grid_search",
     "closed_form_table",
-    "sweep",
     "factorization_residual",
     "completeness",
 ]
@@ -57,12 +55,11 @@ class ZeroCoincidenceMass(ValueError):
 
 @dataclass(frozen=True)
 class MeasurementPartition:
-    """One party's detector binning: ordered (label, mode set) pairs.
+    """One party's detector binning: ordered (label, slot set) pairs.
 
-    Bins are read species-blind: a detector sees an (external, internal)
-    slot, so ``slots`` maps each slot of a bin's modes to the bin's index,
-    and a bin should hold every species of its slots (as ``_compile_measure``,
-    ``rebin`` and ``experiments.partition`` build them).
+    A detector sees a slot, never a species: a slot is the (external index,
+    internal index) pair that ``detector_distribution``'s patterns list, and
+    a bin is a set of slots.  ``slots`` maps each slot to its bin's index.
     """
 
     party: str
@@ -72,18 +69,17 @@ class MeasurementPartition:
 
     def __post_init__(self) -> None:
         slots: dict = {}
-        for i, (label, modes) in enumerate(self.bins):
-            bin_slots = {(m.external.index, m.internal.index) for m in modes}
-            if bin_slots & slots.keys():
-                raise OverlappingPartitions(f"bin {label!r} overlaps an earlier bin")
-            slots.update(dict.fromkeys(bin_slots, i))
+        for i, (label, bin_slots) in enumerate(self.bins):
+            for slot in bin_slots:
+                if not (type(slot) is tuple and len(slot) == 2 and all(type(k) is int for k in slot)):
+                    raise ValueError(f"bin {label!r}: {slot!r} is not an (int, int) slot")
+                if slot in slots:
+                    raise OverlappingPartitions(f"bin {label!r} overlaps an earlier bin")
+                slots[slot] = i
         object.__setattr__(self, "slots", slots)
 
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.bins)
-
-    def mode_union(self) -> frozenset:
-        return frozenset(m for _, modes in self.bins for m in modes)
 
 
 @dataclass(frozen=True)
@@ -130,13 +126,6 @@ class DetectorDistribution:
 
     def mass(self, detectors) -> float:
         return sum(self.probs.get(d, 0.0) for d in detectors)
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    settings: object
-    table: CoincidenceTable
-    correlation: float
 
 
 def coincidence_table(
@@ -254,15 +243,6 @@ def closed_form_table(kind: str, statistics: Statistics, settings, row_labels=No
     return CoincidenceTable(
         tuple(row_labels or rows), tuple(col_labels or cols), np.array(cells)
     )
-
-
-def sweep(table_fn, grid):
-    """One (settings, table, correlation) record per grid point, in order."""
-    records = []
-    for settings in grid:
-        table = table_fn(settings)
-        records.append(SweepRecord(settings, table, correlation(table)))
-    return records
 
 
 def factorization_residual(table) -> float:

@@ -95,23 +95,26 @@ def execute(compiled: CompiledCircuit) -> StateVector:
 
 
 def rebin(compiled: CompiledCircuit, party: str, kind: str) -> MeasurementPartition:
-    """One party's measured modes regrouped by port or by internal label.
+    """One party's measured slots regrouped by port or by internal label.
 
     ``kind`` "external" makes one bin per port, in the order the ports first
     appear in the party's measure statement; "internal" makes one bin per
-    internal label, in declaration order.
+    internal label, in declaration order.  A slot is an (external index,
+    internal index) pair, so it is sorted into a bin by its index of ``kind``.
     """
-    modes = compiled.partitions[party].mode_union()
+    slots = compiled.partitions[party].slots
+    basis = compiled.basis
     if kind == "external":
         measure = next(m for m in compiled.tree.measures if m.party == party)
-        labels = dict.fromkeys(a.external.name for b in measure.bins for a in b.atoms)
+        names = dict.fromkeys(a.external.name for b in measure.bins for a in b.atoms)
+        labels = [(name, basis.externals.index(name)) for name in names]
+        at = 0
     elif kind == "internal":
-        labels = compiled.basis.internals
+        labels = [(name, k) for k, name in enumerate(basis.internals)]
+        at = 1
     else:
         raise ValueError(f"kind must be 'internal' or 'external', got {kind!r}")
-    bins = tuple(
-        (lab, frozenset(m for m in modes if getattr(m, kind).name == lab)) for lab in labels
-    )
+    bins = tuple((lab, frozenset(s for s in slots if s[at] == k)) for lab, k in labels)
     return MeasurementPartition(party, kind, bins)
 
 
@@ -135,13 +138,16 @@ def _compile_element(el, basis: ModeBasis, params: dict) -> ModeTransform:
 
 
 def _compile_measure(m: MeasureStmt, basis: ModeBasis) -> MeasurementPartition:
+    """A measure statement's bins as (external index, internal index) slot sets.
+
+    A bare port atom covers every internal label at that port.
+    """
     bins = []
     for b in m.bins:
-        modes = set()
+        slots = set()
         for atom in b.atoms:
+            e = basis.externals.index(atom.external.name)
             names = (atom.internal.name,) if atom.internal else basis.internals
-            for internal in names:
-                for sp in basis.species:
-                    modes.add(basis.mode(internal, atom.external.name, species=sp))
-        bins.append((b.label.name, frozenset(modes)))
+            slots.update((e, basis.internals.index(name)) for name in names)
+        bins.append((b.label.name, frozenset(slots)))
     return MeasurementPartition(m.party, m.kind, tuple(bins))

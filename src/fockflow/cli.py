@@ -17,7 +17,7 @@ parameters ``$phiL $phiD $phiR $phiU``: by ``--phase-l/d/r/u`` on
 flags and runs each dial pair once) and by the grid on ``sweep``;
 ``--param name=value`` binds more on ``table`` and ``chsh`` and exits 2
 on those four names.
-``--kind`` re-bins each party's measured modes by path (ports in
+``--kind`` re-bins each party's measured slots by path (ports in
 the order the party's measure line first names them) or by spin
 (internal labels in declaration order); without it a circuit is read
 out with its own bins, and its kind is reported in the same path/spin
@@ -51,7 +51,6 @@ from .analysis import (
     coincidence_table,
     completeness,
     correlation,
-    sweep,
 )
 from .cdl import (
     LexError,
@@ -433,21 +432,17 @@ def cmd_sweep(args) -> int:
         raise _InputError(f"--steps must be between 0 and {MAX_SWEEP_STEPS}")
     _, kind, (part_a, part_b), run = _runner(args, signed=True)
     values = [k * 2 * math.pi / args.steps for k in range(args.steps)]
-    grid = [PhaseSettings(*phases) for phases in itertools.product(values, repeat=4)]
-    records = sweep(lambda settings: run(settings)[2], grid)
 
     def fmt(x: float) -> str:
         return "%.17g" % x
 
     cells = [f"p{i}{j}" for i in range(len(part_a.bins)) for j in range(len(part_b.bins))]
     rows = [",".join(["phiL,phiD,phiR,phiU,kind", *cells, "E"])]
-    for rec in records:
-        ph = rec.settings
+    for phases in itertools.product(values, repeat=4):  # every point runs before any is written
+        table = run(PhaseSettings(*phases))[2]
         rows.append(
             ",".join(
-                [fmt(ph.phi_l), fmt(ph.phi_d), fmt(ph.phi_r), fmt(ph.phi_u), kind]
-                + [fmt(c) for c in rec.table.probs.ravel()]
-                + [fmt(rec.correlation)]
+                [*map(fmt, phases), kind, *map(fmt, table.probs.ravel()), fmt(correlation(table))]
             )
         )
     text = "\n".join(rows) + "\n"

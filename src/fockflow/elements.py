@@ -198,7 +198,7 @@ def hybrid_beam_splitter(basis, in_a, in_b, out_t=None, out_r=None):
     )
 
 
-def dof_sorter(basis: ModeBasis, routing: dict, port: str | None = None):
+def dof_sorter(basis: ModeBasis, routing: dict, port: str):
     """Route the particles arriving at ``port`` by their internal label.
 
     A particle with internal label s is sent to external port routing[s].
@@ -207,8 +207,6 @@ def dof_sorter(basis: ModeBasis, routing: dict, port: str | None = None):
     be unoccupied upstream, the way a fresh detector rail is.  Sorting by
     the external label is a wholesale port permutation: ``exchange_wiring``.
     """
-    if port is None:
-        raise ValueError("internal sorter needs the input port it sorts")
     _external(basis, port)
     missing = [s for s in basis.internals if s not in routing]
     if missing:

@@ -26,7 +26,6 @@ whether all bits agree.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -189,21 +188,22 @@ def swap_circuit(settings: PhaseSettings) -> CircuitRun:
 
 
 def partition(run: CircuitRun, party: str, kind: str) -> MeasurementPartition:
-    """A party's detector binning by path (external) or by spin (internal)."""
+    """A party's detector binning by path (external) or by spin (internal).
+
+    Bins are sets of (external index, internal index) slots at the party's ports.
+    """
     if party not in ("A", "B"):
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
     ports = ALICE_PORTS if party == "A" else BOB_PORTS
     basis = run.basis
-    party_modes = [m for m in basis.modes if m.external.name in ports]
+    externals = {port: basis.externals.index(port) for port in ports}
+    internals = range(len(basis.internals))
     if kind == "external":
-        bins = tuple(
-            (port, frozenset(m for m in party_modes if m.external.name == port))
-            for port in ports
-        )
+        bins = tuple((port, frozenset((e, i) for i in internals)) for port, e in externals.items())
     elif kind == "internal":
         bins = tuple(
-            (label, frozenset(m for m in party_modes if m.internal.name == label))
-            for label in basis.internals
+            (label, frozenset((e, i) for e in externals.values()))
+            for i, label in zip(internals, basis.internals)
         )
     else:
         raise ValueError(f"kind must be 'internal' or 'external', got {kind!r}")
@@ -307,16 +307,12 @@ def sorter_cascade(clones: CloneEnsemble) -> DetectorDistribution:
     all-ones in detector 2^n.
     """
     p0, p1 = clones.per_dof_state.born()
-    n = clones.n_dofs
-    probs = {}
-    for bits in itertools.product((0, 1), repeat=n):
-        p = 1.0
-        for b in bits:
-            p *= p1 if b else p0
-        index = 1 + sum(b << (n - 1 - k) for k, b in enumerate(bits))
-        if p > 0.0:
-            probs[index] = probs.get(index, 0.0) + p
-    return DetectorDistribution(probs)
+    # each DOF appends the least significant bit, so every string's product
+    # multiplies its Born weights in bit order, first DOF first
+    probs = np.ones(1)
+    for _ in range(clones.n_dofs):
+        probs = np.outer(probs, (p0, p1)).ravel()
+    return DetectorDistribution({k + 1: p for k, p in enumerate(probs.tolist()) if p > 0.0})
 
 
 def _one_of(dofs, copies):

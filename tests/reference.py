@@ -7,8 +7,8 @@ is re-ordered with ``canonicalize``.  It shares no code with
 ``algebra.substitute`` beyond ``canonicalize`` and the state types.
 
 ``reference_coincidence_table`` tabulates term by term: a monomial of
-two operators lands in cell (i, j) when exactly one of its modes lies in
-bin i of party A and one in bin j of party B, with Born weight
+two operators lands in cell (i, j) when exactly one of its modes' slots
+lies in bin i of party A and one in bin j of party B, with Born weight
 |a|^2 prod n_k! / norm^2.  ``analysis.coincidence_table`` reads the
 species-blind ``detector_distribution`` instead.
 
@@ -48,8 +48,9 @@ def reference_substitute(state, transform):
 
 def reference_coincidence_table(state, part_a, part_b):
     def bin_of(part, mode):
-        for i, (_, modes) in enumerate(part.bins):
-            if mode in modes:
+        slot = (mode.external.index, mode.internal.index)
+        for i, (_, slots) in enumerate(part.bins):
+            if slot in slots:
                 return i
         return None
 

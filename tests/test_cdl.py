@@ -265,10 +265,16 @@ class TestCompiler:
         c = compile_circuit(parse_source(src + "measure A external bin x = b bin y = up:c a\n"))
         by_port = rebin(c, "A", "external")
         assert by_port.labels() == ("b", "c", "a")
-        assert {(m.internal.name, m.external.name) for m in by_port.bins[1][1]} == {("up", "c")}
+        # slots are (external index, internal index): up:c is (2, 1)
+        assert by_port.bins[1][1] == {(2, 1)}
+        assert by_port.bins[0][1] == {(1, 0), (1, 1)}
         by_spin = rebin(c, "A", "internal")
         assert by_spin.labels() == ("down", "up")
-        assert by_spin.mode_union() == c.partitions["A"].mode_union()
+        assert by_spin.bins == (
+            ("down", frozenset({(0, 0), (1, 0)})),
+            ("up", frozenset({(0, 1), (1, 1), (2, 1)})),
+        )
+        assert by_spin.slots.keys() == c.partitions["A"].slots.keys()
         with pytest.raises(ValueError):
             rebin(c, "A", "charge")
 
@@ -281,11 +287,14 @@ class TestCompiler:
         by_port = {m.external.name: m.species for m, _ in mono.entries}
         assert by_port == {"R": 1, "L": 2}
 
-    def test_partition_bins_cover_all_species(self):
-        c = compile_circuit(parse_source(read("hh_distinguishable.cdl")))
-        label, modes = c.partitions["A"].bins[0]
-        assert label == "D"
-        assert {m.species for m in modes} == {1, 2}
+    def test_partitions_do_not_depend_on_statistics(self):
+        # detectors see slots, never species: the three hh files measure alike
+        boson, fermion, distinguishable = (
+            compile_circuit(parse_source(read(f"hh_{stats}.cdl"))).partitions
+            for stats in ("boson", "fermion", "distinguishable")
+        )
+        assert boson == fermion == distinguishable
+        assert boson["A"].bins[0] == ("D", frozenset({(1, 0), (1, 1)}))
 
     def test_cascade_compiles_to_permutations(self):
         for name in ("cascade2.cdl", "cascade3.cdl"):

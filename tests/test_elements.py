@@ -178,10 +178,6 @@ class TestSorters:
         with pytest.raises(IncompleteRouting):
             dof_sorter(BASIS, {"down": "L"}, port="L")
 
-    def test_internal_sorter_needs_port(self):
-        with pytest.raises(ValueError):
-            dof_sorter(BASIS, {"down": "L", "up": "R"})
-
     def test_colliding_targets_rejected(self):
         with pytest.raises(NotBijective):
             dof_sorter(BASIS, {"down": "R", "up": "R"}, port="L")

@@ -235,6 +235,24 @@ class TestClonesAndCascade:
         assert d.probs[4] == pytest.approx(0.64 * 0.64, abs=1e-12)
         assert sum(d.probs.values()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "state",
+        [Z_ZERO, Z_ONE, X_PLUS, X_MINUS, QubitState(math.cos(0.3), math.sin(0.3)), QubitState(0.6, 0.8j)],
+        ids=["z0", "z1", "x+", "x-", "cos-sin-0.3", "0.6-0.8i"],
+    )
+    @pytest.mark.parametrize("dofs", [1, 2, 3, 5, 9])
+    def test_cascade_is_the_bitwise_product(self, state, dofs):
+        # detector 1 + b, b spelled first DOF first; its probability is the
+        # product of the per-bit Born weights taken in that bit order
+        born = state.born()
+        want = {}
+        for b in range(2**dofs):
+            p = math.prod(born[(b >> (dofs - 1 - k)) & 1] for k in range(dofs))
+            if p > 0.0:
+                want[b + 1] = p
+        got = sorter_cascade(CloneEnsemble(dofs, state)).probs
+        assert list(got.items()) == list(want.items())
+
 
 class TestSignaling:
     def test_exact_dof_values(self):
