@@ -50,17 +50,15 @@ class CompiledCircuit:
     partitions: dict  # party -> MeasurementPartition
 
 
-def compile_circuit(tree: CircuitSpecTree, params: dict | None = None) -> CompiledCircuit:
-    """Build (initial state, element stages, measurement partitions).
+def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
+    """Build (initial state, element stages, measurement partitions) once.
 
-    ``params`` binds `$name` phase parameters by bare name (no `$`);
-    unbound parameters default to 0.0. Particles are listed in operator
-    product order: the first declaration is the leftmost creation
-    operator, and bosons declared in one mode start in the normalized
-    number state. Under distinguishable statistics the k-th particle gets
-    species tag k+1 in declaration order.
+    A `$name` phase compiles at 0.0 here; ``execute`` binds it. Particles
+    are listed in operator product order: the first declaration is the
+    leftmost creation operator, and bosons declared in one mode start in
+    the normalized number state. Under distinguishable statistics the k-th
+    particle gets species tag k+1 in declaration order.
     """
-    params = params or {}
     stats = _STATISTICS[tree.statistics]
     internals = tuple(r.name for r in tree.internals)
     externals = tuple(r.name for r in tree.externals)
@@ -81,16 +79,27 @@ def compile_circuit(tree: CircuitSpecTree, params: dict | None = None) -> Compil
     if n2 != 1.0:  # bosons sharing a mode: the raw product has norm^2 prod n_k!
         state = scale(state, n2**-0.5)
 
-    stages = tuple(_compile_element(el, basis, params) for el in tree.elements)
+    stages = tuple(_compile_element(el, basis, {}) for el in tree.elements)
     partitions = {m.party: _compile_measure(m, basis) for m in tree.measures}
     return CompiledCircuit(tree, stats, basis, state, stages, partitions)
 
 
-def execute(compiled: CompiledCircuit) -> StateVector:
-    """Run the initial state through the composed element sequence."""
+def execute(compiled: CompiledCircuit, params: dict | None = None) -> StateVector:
+    """Run the initial state through the composed element sequence.
+
+    ``params`` binds `$name` phase parameters by bare name (no `$`);
+    unbound ones stay at 0.0. Only the stages that carry a `$name` are
+    rebuilt, so one compiled circuit serves every phase setting.
+    """
     if not compiled.stages:
         return compiled.initial
-    total = compose(list(compiled.stages), basis=compiled.basis)
+    stages = [
+        _compile_element(el, compiled.basis, params or {})
+        if isinstance(el, PhaseStmt) and el.arg.param is not None
+        else stage
+        for el, stage in zip(compiled.tree.elements, compiled.stages)
+    ]
+    total = compose(stages, basis=compiled.basis)
     return substitute(compiled.initial, total)
 
 

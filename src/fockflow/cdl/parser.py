@@ -61,7 +61,7 @@ class LabelRef:
 
 @dataclass(frozen=True)
 class PhaseArg:
-    """Literal radians or a `$name` parameter bound at compile time."""
+    """Literal radians or a `$name` parameter, bound when the circuit is executed."""
 
     value: float | None = None
     param: str | None = None

@@ -11,12 +11,14 @@ circuit language (``pi/4``, ``-0.5``; write ``--phase-d=-pi/4`` so the
 leading minus is not read as an option). A circuit argument is a path to
 a ``.cdl`` file or a name for a bundled one: ``hh``/``hyperhybrid`` is
 ``examples/hh_<stats>.cdl`` (fermion by default) and ``swap`` is
-``examples/swap.cdl``. The four standard phases are bound to the
-parameters ``$phiL $phiD $phiR $phiU``: by ``--phase-l/d/r/u`` on
-``table``, by the dials alone on ``chsh`` (which has no ``--phase-*``
-flags and runs each dial pair once) and by the grid on ``sweep``;
-``--param name=value`` binds more on ``table`` and ``chsh`` and exits 2
-on those four names.
+``examples/swap.cdl``. Each command compiles its circuit once and binds
+the phases when it executes it at each point. The four standard phases
+are bound to the parameters ``$phiL $phiD $phiR $phiU``: by
+``--phase-l/d/r/u`` on ``table``, by the dials alone on ``chsh`` (which
+has no ``--phase-*`` flags and runs each dial pair once) and by the grid
+on ``sweep``; ``--param name=value`` binds more on ``table`` and
+``chsh`` and exits 2 on those four names and on a name the file does not
+declare.
 ``--kind`` re-bins each party's measured slots by path (ports in
 the order the party's measure line first names them) or by spin
 (internal labels in declaration order); without it a circuit is read
@@ -55,6 +57,7 @@ from .analysis import (
 from .cdl import (
     LexError,
     ParseError,
+    PhaseStmt,
     SemanticError,
     compile_circuit,
     execute,
@@ -279,12 +282,13 @@ def _circuit_path(args) -> str:
 
 
 def _runner(args, signed: bool = False):
-    """Parse the circuit once: (statistics, kind, (part A, part B), run).
+    """Parse and compile the circuit once: (compiled, kind, (part A, part B), run).
 
-    ``run(settings)`` compiles at those phases, executes, checks the norm
-    against --tolerance and returns (compiled, state, coincidence table).
-    ``signed`` rejects bin labels outside the correlation sign map, and
-    ``--param`` may not bind a standard phase, which each command binds itself.
+    ``run(settings)`` executes the compiled circuit with those phases and
+    any --param bound, checks the norm against --tolerance and returns
+    (state, coincidence table).  ``signed`` rejects bin labels outside the
+    correlation sign map.  ``--param`` may bind only a `$name` the file
+    declares, and not a standard phase, which each command binds itself.
     """
     path = _circuit_path(args)
     tree = _read_tree(path)
@@ -300,22 +304,29 @@ def _runner(args, signed: bool = False):
             f"--param {', '.join(bound)}: {', '.join(_PHASE_PARAMS)} are bound by"
             " --phase-l/d/r/u on table and by the dials on chsh"
         )
-
-    def compiled_at(settings: PhaseSettings):
-        try:
-            return compile_circuit(tree, params={**_phases_dict(settings), **extra})
-        except ValueError as e:
-            raise _InputError(f"{path}: {e}") from e
-
-    first = compiled_at(PhaseSettings())
-    if "A" not in first.partitions or "B" not in first.partitions:
+    declared = {
+        el.arg.param[1:]
+        for el in tree.elements
+        if isinstance(el, PhaseStmt) and el.arg.param is not None
+    }
+    unknown = [name for name in extra if name not in declared]
+    if unknown:
+        raise _InputError(
+            f"--param {', '.join(unknown)}: {path} declares no such parameter"
+            f" (it has {', '.join(sorted(declared)) or 'none'})"
+        )
+    try:
+        compiled = compile_circuit(tree)
+    except ValueError as e:
+        raise _InputError(f"{path}: {e}") from e
+    if "A" not in compiled.partitions or "B" not in compiled.partitions:
         raise _InputError(f"{path}: file must measure both parties A and B")
     if args.kind:
         parts = tuple(
-            rebin(first, party, _KINDS[word]) for party, word in zip("AB", args.kind.split("-"))
+            rebin(compiled, party, _KINDS[word]) for party, word in zip("AB", args.kind.split("-"))
         )
     else:
-        parts = (first.partitions["A"], first.partitions["B"])
+        parts = (compiled.partitions["A"], compiled.partitions["B"])
     kind = "-".join(_KIND_NAMES[part.kind] for part in parts)
     if signed:
         missing = [lab for part in parts for lab in part.labels() if lab not in DEFAULT_SIGNS]
@@ -323,17 +334,13 @@ def _runner(args, signed: bool = False):
             raise _InputError(f"{path}: bin labels {missing} are not in the sign map")
 
     def run(settings: PhaseSettings):
-        compiled = compiled_at(settings)
-        try:
-            state = execute(compiled)
-        except ValueError as e:
-            raise _InputError(f"{path}: {e}") from e
+        state = execute(compiled, {**_phases_dict(settings), **extra})
         n2 = norm_squared(state)
         if abs(n2 - 1.0) > args.tolerance:
             raise _NumericFailure(f"final state norm^2 = {n2!r}, expected 1")
-        return compiled, state, coincidence_table(state, *parts)
+        return state, coincidence_table(state, *parts)
 
-    return tree.statistics, kind, parts, run
+    return compiled, kind, parts, run
 
 
 def _format_table(table) -> list[str]:
@@ -350,8 +357,9 @@ def _format_table(table) -> list[str]:
 
 def cmd_table(args) -> int:
     settings = PhaseSettings(args.phase_l, args.phase_d, args.phase_r, args.phase_u)
-    stats_name, kind, _, run = _runner(args)
-    compiled, state, table = run(settings)
+    compiled, kind, _, run = _runner(args)
+    stats_name = compiled.tree.statistics
+    state, table = run(settings)
     count = particle_count(state)
     if count != 2:
         print(
@@ -385,11 +393,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_chsh(args) -> int:
-    stats_name, kind, _, run = _runner(args, signed=True)
+    compiled, kind, _, run = _runner(args, signed=True)
+    stats_name = compiled.tree.statistics
 
     @functools.cache
     def runner(a, b):  # the search or chsh_value, then the E lines, read each pair
-        return run(dial_settings(a, b))[2]
+        return run(dial_settings(a, b))[1]
 
     if args.search:
         grid = [k * math.pi / 8 for k in range(16)]
@@ -439,7 +448,7 @@ def cmd_sweep(args) -> int:
     cells = [f"p{i}{j}" for i in range(len(part_a.bins)) for j in range(len(part_b.bins))]
     rows = [",".join(["phiL,phiD,phiR,phiU,kind", *cells, "E"])]
     for phases in itertools.product(values, repeat=4):  # every point runs before any is written
-        table = run(PhaseSettings(*phases))[2]
+        table = run(PhaseSettings(*phases))[1]
         rows.append(
             ",".join(
                 [*map(fmt, phases), kind, *map(fmt, table.probs.ravel()), fmt(correlation(table))]

@@ -115,7 +115,11 @@ def _slot_element(basis: ModeBasis, moves: dict, name: str) -> ModeTransform:
         slots[m, m] = 0.0
         for target, amp in images:
             slots[basis.slots[target], m] = amp
-    return ModeTransform(basis, np.kron(np.eye(len(basis.species)), slots), name)
+    n = len(slots)
+    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
+    for b in range(0, len(basis), n):
+        matrix[b : b + n, b : b + n] = slots
+    return ModeTransform(basis, matrix, name)
 
 
 def _external(basis: ModeBasis, name: str) -> str:

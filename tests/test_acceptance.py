@@ -447,13 +447,13 @@ class TestCircuitLanguage:
 
     def test_compiled_interferometer_matches_hardcoded(self):
         tree = parse_source((EXAMPLES / "hh_fermion.cdl").read_text())
-        got = execute(compile_circuit(tree, params=self.PARAMS))
+        got = execute(compile_circuit(tree), params=self.PARAMS)
         want = hyper_hybrid_circuit(Statistics.FERMION, self.SETTINGS).final_state
         assert self.state_deviation(got, want) < TOL_EXACT
 
     def test_compiled_swap_matches_hardcoded(self):
         tree = parse_source((EXAMPLES / "swap.cdl").read_text())
-        got = execute(compile_circuit(tree, params=self.PARAMS))
+        got = execute(compile_circuit(tree), params=self.PARAMS)
         want = swap_circuit(self.SETTINGS).final_state
         assert self.state_deviation(got, want) < TOL_EXACT
 

@@ -1,7 +1,9 @@
 """Unit tests for the circuit description language."""
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import math
 from pathlib import Path
 
@@ -16,6 +18,8 @@ from fockflow.cdl import (
     LabelRef,
     LexError,
     ParseError,
+    PhaseArg,
+    PhaseStmt,
     SemanticError,
     compile_circuit,
     execute,
@@ -232,15 +236,38 @@ class TestCompiler:
 
     def test_interferometer_matches_hardcoded(self):
         tree = parse_source(read("hh_fermion.cdl"))
-        got = execute(compile_circuit(tree, params=self.PARAMS))
+        got = execute(compile_circuit(tree), params=self.PARAMS)
         want = hyper_hybrid_circuit(Statistics.FERMION, self.SETTINGS).final_state
         assert self.state_deviation(got, want) < 1e-12
 
     def test_swap_matches_hardcoded(self):
         tree = parse_source(read("swap.cdl"))
-        got = execute(compile_circuit(tree, params=self.PARAMS))
+        got = execute(compile_circuit(tree), params=self.PARAMS)
         want = swap_circuit(self.SETTINGS).final_state
         assert self.state_deviation(got, want) < 1e-12
+
+    @pytest.mark.parametrize(
+        "name", ["hh_boson.cdl", "hh_fermion.cdl", "hh_distinguishable.cdl", "swap.cdl"]
+    )
+    def test_bound_phases_equal_literal_phases(self, name):
+        # execute's binding must build exactly the circuit a literal file compiles to
+        tree = parse_source(read(name))
+        compiled = compile_circuit(tree)
+        names = [el.arg.param[1:] for el in tree.elements if isinstance(el, PhaseStmt)]
+        assert sorted(names) == sorted(self.PARAMS)
+        for values in itertools.product((0.0, 0.9, -2 * math.pi / 3), repeat=4):
+            params = dict(zip(self.PARAMS, values))
+            literal = dataclasses.replace(
+                tree,
+                elements=tuple(
+                    dataclasses.replace(el, arg=PhaseArg(value=params[el.arg.param[1:]]))
+                    if isinstance(el, PhaseStmt)
+                    else el
+                    for el in tree.elements
+                ),
+            )
+            got = execute(compiled, params)
+            assert got.terms == execute(compile_circuit(literal)).terms, params
 
     def test_partitions_match_hardcoded(self):
         tree = parse_source(read("swap.cdl"))
@@ -332,14 +359,6 @@ class TestPrinter:
         a = pretty_print(parse_source(commented))
         b = pretty_print(parse_source(plain))
         assert a == b
-
-
-def test_readme_library_example_runs(monkeypatch, capsys):
-    readme = (ROOT / "README.md").read_text()
-    code = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
-    monkeypatch.chdir(ROOT)
-    exec(compile(code, "README.md", "exec"), {})
-    assert capsys.readouterr().out.strip()
 
 
 class TestMutations:

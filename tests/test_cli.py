@@ -117,8 +117,8 @@ class TestTable:
     def test_norm_drift_is_a_numeric_failure(self, capsys, monkeypatch, circuit):
         execute = cli.execute
 
-        def leaky(compiled):
-            state = execute(compiled)
+        def leaky(compiled, params=None):
+            state = execute(compiled, params)
             terms = {m: 1.01 * a for m, a in state.terms.items()}
             return StateVector(state.statistics, terms)
 
@@ -257,22 +257,53 @@ class TestChsh:
         assert out == ""
         assert name in err and "dials" in err
 
-    def test_other_params_still_bind(self, capsys):
-        rec = run_json(capsys, "chsh", "hh", "--param", "theta=1.3")
-        assert rec["chsh"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+    def test_other_params_still_bind(self, capsys, tmp_path):
+        # a second plate beside $phiD shifts Alice's dial by $theta
+        f = tmp_path / "theta.cdl"
+        source = (EXAMPLES / "hh_fermion.cdl").read_text()
+        f.write_text(source.replace("phase D $phiD\n", "phase D $phiD\nphase D $theta\n"))
+        plain = run_json(capsys, "chsh", str(f))
+        bound = run_json(capsys, "chsh", str(f), "--param", "theta=1.3")
+        assert plain["chsh"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+        assert bound["chsh"] != pytest.approx(plain["chsh"], abs=1e-3)
 
     @pytest.mark.parametrize("argv, runs", [(["chsh", "hh"], 4), (["chsh", "hh", "--search"], 256)])
     def test_each_dial_pair_runs_once(self, capsys, monkeypatch, argv, runs):
         calls = []
 
-        def counted(compiled):
+        def counted(compiled, params=None):
             calls.append(compiled)
-            return execute(compiled)
+            return execute(compiled, params)
 
         monkeypatch.setattr(cli, "execute", counted)
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(calls) == runs
+
+
+@pytest.mark.parametrize("command", ["table", "chsh"])
+def test_undeclared_param_is_an_input_error(capsys, command):
+    code, out, err = run(capsys, command, "hh", "--param", "typo=1")
+    assert code == 2
+    assert out == ""
+    assert "typo" in err and "phiL" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep", "hh", "--steps", "2"], ["chsh", "hh", "--search"]], ids=["sweep", "search"]
+)
+def test_circuit_compiles_once_per_command(capsys, monkeypatch, argv):
+    calls = []
+    compile_circuit = cli.compile_circuit
+
+    def counted(tree):
+        calls.append(tree)
+        return compile_circuit(tree)
+
+    monkeypatch.setattr(cli, "compile_circuit", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 SAME_SIDE = """\
