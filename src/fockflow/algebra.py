@@ -348,16 +348,20 @@ def detector_distribution(state: StateVector, basis: ModeBasis | None = None) ->
     adds its Born weight |a|^2 prod n_k! to its pattern, and each pattern
     weight is divided by the state's norm^2.  With ``basis``, terms that
     touch a mode outside it are skipped (the norm still counts them).
+    The norm^2 is the ``sum`` of every term's weight in term order, so it
+    is the same float that ``norm_squared`` returns.
     """
-    n2 = norm_squared(state)
-    if n2 <= 0.0:
-        raise ZeroNorm("state has zero norm")
     inside = None if basis is None else set(basis.modes)
+    born = []
     weights: dict = {}
     for mono, amp in state.terms.items():
+        born.append(abs(amp) ** 2 * mono.norm_factor())
         if inside is None or all(m in inside for m, _ in mono.entries):
             pattern = _pattern(mono)
-            weights[pattern] = weights.get(pattern, 0.0) + abs(amp) ** 2 * mono.norm_factor()
+            weights[pattern] = weights.get(pattern, 0.0) + born[-1]
+    n2 = sum(born)
+    if n2 <= 0.0:
+        raise ZeroNorm("state has zero norm")
     return {p: weights[p] / n2 for p in sorted(weights)}
 
 

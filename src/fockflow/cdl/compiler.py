@@ -29,6 +29,7 @@ from .parser import (
     ExchangeStmt,
     MeasureStmt,
     PhaseStmt,
+    SemanticError,
     SorterStmt,
     SplitterStmt,
 )
@@ -79,9 +80,15 @@ def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
     if n2 != 1.0:  # bosons sharing a mode: the raw product has norm^2 prod n_k!
         state = scale(state, n2**-0.5)
 
-    stages = tuple(_compile_element(el, basis, {}) for el in tree.elements)
+    stages = []
+    for el in tree.elements:
+        try:
+            stages.append(_compile_element(el, basis, {}))
+        except ValueError as e:  # a builder's complaint, placed at the statement
+            at = getattr(el, "in_a", None) or getattr(el, "port", None) or el.routes[0].src
+            raise SemanticError(str(e), at.line, at.col) from e
     partitions = {m.party: _compile_measure(m, basis) for m in tree.measures}
-    return CompiledCircuit(tree, stats, basis, state, stages, partitions)
+    return CompiledCircuit(tree, stats, basis, state, tuple(stages), partitions)
 
 
 def execute(compiled: CompiledCircuit, params: dict | None = None) -> StateVector:

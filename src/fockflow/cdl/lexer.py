@@ -4,6 +4,14 @@ Source is plain UTF-8 text. ``#`` starts a comment running to end of line.
 Tokens carry 1-based line/column positions pointing at their first
 character. A single ``end`` token is appended after the last real token.
 
+One pattern, ``_TOKEN``, is matched at the current offset; its named group
+says what starts there: a run of blanks and comments, a ``$name``
+parameter, the punctuation ``->``, ``=`` or ``:``, the start of a number
+(a digit, ``.``, ``-`` or the whole word ``pi``), a word, or any other
+character. Only blank runs hold newlines, so the line count and the
+offset where the current line starts change there alone, and a token's
+column is its offset minus that line start, plus 1.
+
 Numbers are constant expressions folded at lex time: a chain of terms
 joined by ``*`` or ``/``, each term an optionally negated decimal literal
 or the word ``pi``. The chain must be written without internal whitespace
@@ -18,23 +26,21 @@ import re
 from dataclasses import dataclass, field
 
 KEYWORDS = frozenset(
-    {
-        "internal",
-        "external",
-        "statistics",
-        "particle",
-        "hbs",
-        "bs",
-        "phase",
-        "sorter",
-        "exchange",
-        "measure",
-        "bin",
-    }
+    "internal external statistics particle hbs bs phase sorter exchange measure bin".split()
 )
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_FLOAT = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*"
+_FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TOKEN = re.compile(
+    r"(?P<blank>(?:\s|#[^\n]*)+)"
+    rf"|(?P<param>\$(?:{_WORD})?)"
+    r"|(?P<punctuation>->|[=:])"
+    r"|(?P<number>[\d.-]|pi(?![A-Za-z0-9_]))"
+    rf"|(?P<word>{_WORD})"
+    r"|(?P<other>.)"
+)
+# a term of a constant: minus signs, then a decimal literal or a word
+_TERM = re.compile(rf"(-*)(?:({_FLOAT})|({_WORD}))?")
 
 
 class LexError(ValueError):
@@ -53,121 +59,65 @@ class Token:
     value: float | None = field(default=None, compare=False)
 
 
-class _Scanner:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.src[i] if i < len(self.src) else ""
-
-    def take(self) -> str:
-        c = self.src[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
-
-    def skip_blank(self):
-        while self.pos < len(self.src):
-            c = self.peek()
-            if c == "#":
-                while self.pos < len(self.src) and self.peek() != "\n":
-                    self.take()
-            elif c.isspace():
-                self.take()
-            else:
-                return
-
-    def match_word(self) -> str | None:
-        m = _WORD.match(self.src, self.pos)
-        if m is None:
-            return None
-        for _ in m.group(0):
-            self.take()
-        return m.group(0)
-
-    def match_float(self) -> float | None:
-        m = _FLOAT.match(self.src, self.pos)
-        if m is None:
-            return None
-        for _ in m.group(0):
-            self.take()
-        return float(m.group(0))
-
-    def number_term(self) -> float:
-        line, col = self.line, self.col
-        sign = 1.0
-        while self.peek() == "-":
-            self.take()
-            sign = -sign
-        value = self.match_float()
-        if value is None:
-            word = self.match_word()
-            if word == "pi":
-                value = math.pi
-            elif word is not None:
-                raise LexError(f"expected a number, found {word!r}", line, col)
-            else:
-                raise LexError("expected a number", line, col)
-        return sign * value
-
-
 def tokenize(source: str) -> list[Token]:
-    sc = _Scanner(source)
     out: list[Token] = []
-    while True:
-        sc.skip_blank()
-        line, col, start = sc.line, sc.col, sc.pos
-        c = sc.peek()
-        if c == "":
-            out.append(Token("end", "", line, col))
-            return out
-        if c == "$":
-            sc.take()
-            word = sc.match_word()
-            if word is None:
+    pos, line, line_start = 0, 1, 0
+    while pos < len(source):
+        m = _TOKEN.match(source, pos)
+        kind, text, col = m.lastgroup, m.group(), pos - line_start + 1
+        if kind == "blank":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rindex("\n") + 1
+        elif kind == "param":
+            if text == "$":
                 raise LexError("'$' must introduce a parameter name", line, col)
-            out.append(Token("identifier", "$" + word, line, col))
+            out.append(Token("identifier", text, line, col))
+        elif kind == "punctuation":
+            out.append(Token(kind, text, line, col))
+        elif kind == "number":
+            value, end = _constant(source, pos, line, col)
+            out.append(Token(kind, source[pos:end], line, col, value=value))
+            pos = end
             continue
-        if c == "-" and sc.peek(1) == ">":
-            sc.take()
-            sc.take()
-            out.append(Token("punctuation", "->", line, col))
-            continue
-        if c in "=:":
-            sc.take()
-            out.append(Token("punctuation", c, line, col))
-            continue
-        if c.isdigit() or c in ".-" or (c.isalpha() and _word_is_pi(sc)):
-            value = sc.number_term()
-            while sc.peek() in ("*", "/"):
-                op = sc.take()
-                rhs = sc.number_term()
-                if op == "/":
-                    if rhs == 0.0:
-                        raise LexError("division by zero in constant", line, col)
-                    value /= rhs
-                else:
-                    value *= rhs
-            if not math.isfinite(value):
-                raise LexError("number is not finite", line, col)
-            out.append(Token("number", sc.src[start : sc.pos], line, col, value=value))
-            continue
-        word = sc.match_word()
-        if word is not None:
-            kind = "keyword" if word in KEYWORDS else "identifier"
-            out.append(Token(kind, word, line, col))
-            continue
-        raise LexError(f"illegal character {c!r}", line, col)
+        elif kind == "word":
+            out.append(Token("keyword" if text in KEYWORDS else "identifier", text, line, col))
+        elif text.isdigit():  # a digit that is not decimal, such as "²"
+            raise LexError("expected a number", line, col)
+        else:
+            raise LexError(f"illegal character {text!r}", line, col)
+        pos = m.end()
+    out.append(Token("end", "", line, pos - line_start + 1))
+    return out
 
 
-def _word_is_pi(sc: _Scanner) -> bool:
-    m = _WORD.match(sc.src, sc.pos)
-    return m is not None and m.group(0) == "pi"
+def _constant(source: str, pos: int, line: int, col: int) -> tuple[float, int]:
+    """Fold the ``*``/``/`` chain of terms that starts at ``pos``.
+
+    Returns (value, end offset). A malformed term is reported at its first
+    minus sign; division by zero and a non-finite result at ``col``.
+    """
+    start, value, op = pos, 1.0, "*"
+    while True:
+        m = _TERM.match(source, pos)
+        minus, literal, word = m.groups()
+        if literal is None and word != "pi":
+            found = f", found {word!r}" if word else ""
+            raise LexError(f"expected a number{found}", line, col + pos - start)
+        term = float(literal) if literal else math.pi
+        if len(minus) % 2:
+            term = -term
+        if op == "*":
+            value *= term
+        elif term == 0.0:
+            raise LexError("division by zero in constant", line, col)
+        else:
+            value /= term
+        pos = m.end()
+        op = source[pos : pos + 1]
+        if op not in ("*", "/"):
+            break
+        pos += 1
+    if not math.isfinite(value):
+        raise LexError("number is not finite", line, col)
+    return value, pos

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lexer import Token, tokenize
+from .lexer import KEYWORDS, Token, tokenize
 
 STATISTICS_NAMES = ("boson", "fermion", "distinguishable")
 PARTIES = ("A", "B")
@@ -135,18 +135,7 @@ class CircuitSpecTree:
     measures: tuple[MeasureStmt, ...]
 
 
-_STATEMENT_HEADS = (
-    "internal",
-    "external",
-    "statistics",
-    "particle",
-    "hbs",
-    "bs",
-    "phase",
-    "sorter",
-    "exchange",
-    "measure",
-)
+_STATEMENT_HEADS = KEYWORDS - {"bin"}
 
 
 class _Parser:

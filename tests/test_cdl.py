@@ -47,6 +47,29 @@ particle down a
 """
 
 
+# valid tokens with their folded values, and blanks that may separate them
+LEX_TOKENS = (
+    ("phase", None),
+    ("bin", None),
+    ("D", None),
+    ("pin", None),
+    ("up_2", None),
+    ("$phiL", None),
+    ("->", None),
+    ("=", None),
+    (":", None),
+    ("0.5", 0.5),
+    (".5", 0.5),
+    ("1e-3", 1e-3),
+    ("pi", math.pi),
+    ("pi/4", math.pi / 4),
+    ("-3*pi/2", -3 * math.pi / 2),
+    ("2*-pi", -2 * math.pi),
+    ("--1", 1.0),
+)
+LEX_BLANKS = (" ", "  ", "\t", "\n", "\r\n", "\n\n", " # note -> 1\n", "#\n", "\t\r\n ")
+
+
 def read(name: str) -> str:
     return (EXAMPLES / name).read_text()
 
@@ -73,6 +96,7 @@ class TestLexer:
             ("pi/4", math.pi / 4),
             ("-3*pi/2", -3 * math.pi / 2),
             ("2*pi", 2 * math.pi),
+            ("2*-pi", -2 * math.pi),
             ("1e-3", 1e-3),
             (".5", 0.5),
             ("-0.25", -0.25),
@@ -112,6 +136,37 @@ class TestLexer:
         toks = tokenize("internal down\n  phase D 1\n")
         phase = next(t for t in toks if t.text == "phase")
         assert (phase.line, phase.col) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "source,message,col",
+        [
+            ("phase D ²", "expected a number", 9),  # isdigit() but not a decimal digit
+            ("a -->b", "expected a number", 3),  # "->" is not split out of "-->"
+            ("2*-x", "expected a number, found 'x'", 3),  # at the term, before its minus
+            ("-pi/-0", "division by zero", 1),
+        ],
+    )
+    def test_number_error_positions(self, source, message, col):
+        with pytest.raises(LexError, match=message) as e:
+            tokenize(source)
+        assert (e.value.line, e.value.col) == (1, col)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.sampled_from(LEX_BLANKS), st.sampled_from(LEX_TOKENS))),
+        st.sampled_from(("", "# no newline", *LEX_BLANKS)),
+    )
+    def test_positions_and_values_of_generated_sources(self, pieces, tail):
+        source, expected = "", []
+        for blank, (text, value) in pieces:
+            source += blank
+            expected.append((len(source), text, value))
+            source += text
+        source += tail
+        line_starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+        toks = tokenize(source)
+        got = [(line_starts[t.line - 1] + t.col - 1, t.text, t.value) for t in toks]
+        assert got == [*expected, (len(source), "", None)]
 
 
 class TestParser:

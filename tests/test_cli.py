@@ -506,6 +506,17 @@ class TestCheck:
         assert code == 2
         assert "line 4, col 12" in out
 
+    @pytest.mark.parametrize("command", ["check", "table"])
+    def test_element_error_has_a_position(self, capsys, tmp_path, command):
+        f = tmp_path / "three_internals.cdl"
+        f.write_text(
+            "internal a b c\nexternal L R\nstatistics boson\nparticle a L\nhbs L R L R\n"
+        )
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2
+        assert "exactly 2 internal labels" in out + err
+        assert "line 5, col 5" in out + err
+
     def test_empty_file(self, capsys, tmp_path):
         f = tmp_path / "empty.cdl"
         f.write_text("")
