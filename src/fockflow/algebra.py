@@ -25,6 +25,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import groupby
 
 __all__ = [
     "Statistics",
@@ -111,6 +113,8 @@ class ModeBasis:
     rows and columns by it.  ``modes`` is one block per species, each block
     listing the same (internal, external) slots; ``slots`` maps a slot's
     (internal name, external name) to its position inside every block.
+    ``monomial`` memoizes the monomials it builds from basis indices, one
+    per occupation pattern of the basis, outside equality.
     """
 
     internals: tuple[str, ...]
@@ -119,6 +123,7 @@ class ModeBasis:
     modes: tuple[Mode, ...] = field(init=False, compare=False, repr=False)
     slots: dict = field(init=False, compare=False, repr=False)
     _index: dict = field(init=False, compare=False, repr=False)
+    _monomials: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for kind, labels in (("internal", self.internals), ("external", self.externals)):
@@ -136,6 +141,7 @@ class ModeBasis:
         slots = {(il.name, el.name): k for k, (il, el) in enumerate(block)}
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "_index", {m: k for k, m in enumerate(modes)})
+        object.__setattr__(self, "_monomials", {})
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -159,6 +165,17 @@ class ModeBasis:
         except KeyError:
             raise UnknownMode(f"mode {mode} not in basis") from None
 
+    def monomial(self, ranks: tuple[int, ...]) -> "Monomial":
+        """The monomial of a sorted tuple of basis indices; repeats become occupations.
+
+        Built once per ``ranks`` and then returned as the same object.
+        """
+        mono = self._monomials.get(ranks)
+        if mono is None:
+            entries = tuple((self.modes[r], len(list(run))) for r, run in groupby(ranks))
+            mono = self._monomials[ranks] = Monomial(entries)
+        return mono
+
 
 @dataclass(frozen=True)
 class Monomial:
@@ -166,10 +183,21 @@ class Monomial:
 
     ``entries`` holds (mode, occupation) pairs with modes strictly
     increasing; occupations exceed one only for bosons.  The empty tuple is
-    the vacuum.
+    the vacuum.  The hash is the dataclass one, ``hash((entries,))``,
+    computed once at construction.
     """
 
     entries: tuple[tuple[Mode, int], ...]
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.entries,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuild, so the hash is taken in the loading process
+        return Monomial, (self.entries,)
 
     @property
     def particle_count(self) -> int:
@@ -185,6 +213,11 @@ class Monomial:
     def ops(self) -> list[Mode]:
         """Expand back into the flat operator list, canonical order."""
         return [m for m, occ in self.entries for _ in range(occ)]
+
+    @cached_property
+    def pattern(self) -> tuple:
+        """The sorted (external index, internal index) slots, one per particle."""
+        return tuple(sorted((m.external.index, m.internal.index) for m in self.ops()))
 
     def is_canonical(self) -> bool:
         keys = [m.order_key() for m, _ in self.entries]
@@ -278,9 +311,11 @@ def substitute(state: StateVector, transform) -> StateVector:
     """Rewrite every creation operator through a mode transform.
 
     Each a_m^dag is replaced by sum_n T[n, m] a_n^dag and like monomials
-    merge.  The transform only needs ``basis`` and ``columns`` attributes
-    (see ``elements.ModeTransform``): ``columns[k]`` lists column k's
-    nonzeros as (row index, value) pairs.
+    merge.  The transform only needs a ``basis`` attribute and a
+    ``column(k)`` method (see ``elements.ModeTransform``) listing column
+    k's nonzeros as (row index, value) pairs; only the columns of occupied
+    modes are read.  Output monomials come from ``basis.monomial``, so
+    every run over one basis shares them.
 
     Each input monomial is expanded one factor at a time, right to left:
     every partial product is left-multiplied by the next factor's column
@@ -294,12 +329,12 @@ def substitute(state: StateVector, transform) -> StateVector:
     terms of the full distributive expansion.
     """
     fermion = state.statistics is Statistics.FERMION
-    basis, columns = transform.basis, transform.columns
+    basis, column_of = transform.basis, transform.column
     merged: dict = {}
     for mono, amp in state.terms.items():
         partial = {(): amp}
         for mode in reversed(mono.ops()):
-            column = columns[basis.index_of(mode)]
+            column = column_of(basis.index_of(mode))
             grown: dict = {}
             for ranks, weight in partial.items():
                 for r, v in column:
@@ -314,7 +349,7 @@ def substitute(state: StateVector, transform) -> StateVector:
             partial = grown
         for ranks, weight in partial.items():
             merged[ranks] = merged.get(ranks, 0.0) + weight
-    out = {_grouped([basis.modes[r] for r in ranks]): w for ranks, w in merged.items()}
+    out = {basis.monomial(ranks): w for ranks, w in merged.items()}
     return StateVector(state.statistics, out)
 
 
@@ -335,10 +370,6 @@ def norm_squared(state: StateVector) -> float:
     return sum(abs(a) ** 2 * m.norm_factor() for m, a in state.terms.items())
 
 
-def _pattern(monomial: Monomial) -> tuple:
-    return tuple(sorted((m.external.index, m.internal.index) for m in monomial.ops()))
-
-
 def detector_distribution(state: StateVector, basis: ModeBasis | None = None) -> dict:
     """Probability of every detector pattern, in sorted pattern order.
 
@@ -357,7 +388,7 @@ def detector_distribution(state: StateVector, basis: ModeBasis | None = None) ->
     for mono, amp in state.terms.items():
         born.append(abs(amp) ** 2 * mono.norm_factor())
         if inside is None or all(m in inside for m, _ in mono.entries):
-            pattern = _pattern(mono)
+            pattern = mono.pattern
             weights[pattern] = weights.get(pattern, 0.0) + born[-1]
     n2 = sum(born)
     if n2 <= 0.0:
@@ -372,7 +403,7 @@ def outcome_probability(state: StateVector, outcome: Monomial) -> float:
     ignored: the probabilities of every species assignment matching its
     (internal, external) pattern are summed.
     """
-    return detector_distribution(state).get(_pattern(outcome), 0.0)
+    return detector_distribution(state).get(outcome.pattern, 0.0)
 
 
 def add(a: StateVector, b: StateVector) -> StateVector:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..algebra import (
     ModeBasis,
@@ -34,6 +34,8 @@ from .parser import (
     SplitterStmt,
 )
 
+BOUND_STAGE_CAP = 256  # bound `$name` stages kept per compiled circuit
+
 _STATISTICS = {
     "boson": Statistics.BOSON,
     "fermion": Statistics.FERMION,
@@ -43,12 +45,36 @@ _STATISTICS = {
 
 @dataclass(frozen=True)
 class CompiledCircuit:
+    """A circuit ready to run; ``execute`` binds its `$name` phases.
+
+    The derived fields, outside equality, hold what a binding leaves
+    unchanged.  ``first_param`` is the index of the first `$name` stage
+    (the stage count when there is none).  ``prefix`` is the product of the
+    stages before it, as a one-transform tuple, empty when there are none.
+    ``bound`` maps (stage index, phase value) to the `$name` stages built so
+    far; it starts with the stages compiled at 0.0 and is cleared whenever
+    it reaches ``BOUND_STAGE_CAP`` entries.  The values 0.0 and -0.0 share
+    an entry: their stages differ only in the sign of a zero imaginary
+    part, which no probability sees.
+    """
+
     tree: CircuitSpecTree
     statistics: Statistics
     basis: ModeBasis
     initial: StateVector
     stages: tuple[ModeTransform, ...]
     partitions: dict  # party -> MeasurementPartition
+    first_param: int = field(init=False, compare=False, repr=False)
+    prefix: tuple = field(init=False, compare=False, repr=False)
+    bound: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        params = [k for k, el in enumerate(self.tree.elements) if _is_param(el)]
+        first = params[0] if params else len(self.stages)
+        prefix = (compose(self.stages[:first], self.basis),) if first else ()
+        object.__setattr__(self, "first_param", first)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "bound", {(k, 0.0): self.stages[k] for k in params})
 
 
 def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
@@ -95,19 +121,34 @@ def execute(compiled: CompiledCircuit, params: dict | None = None) -> StateVecto
     """Run the initial state through the composed element sequence.
 
     ``params`` binds `$name` phase parameters by bare name (no `$`);
-    unbound ones stay at 0.0. Only the stages that carry a `$name` are
-    rebuilt, so one compiled circuit serves every phase setting.
+    unbound ones stay at 0.0. The run starts from ``compiled.prefix``, and
+    each `$name` stage is built once per value and then taken from
+    ``compiled.bound``, so one compiled circuit serves every phase setting.
     """
     if not compiled.stages:
         return compiled.initial
-    stages = [
-        _compile_element(el, compiled.basis, params or {})
-        if isinstance(el, PhaseStmt) and el.arg.param is not None
-        else stage
-        for el, stage in zip(compiled.tree.elements, compiled.stages)
-    ]
+    params = params or {}
+    stages = list(compiled.prefix)
+    for k in range(compiled.first_param, len(compiled.stages)):
+        el = compiled.tree.elements[k]
+        stages.append(_bound_stage(compiled, k, el, params) if _is_param(el) else compiled.stages[k])
     total = compose(stages, basis=compiled.basis)
     return substitute(compiled.initial, total)
+
+
+def _is_param(el) -> bool:
+    return isinstance(el, PhaseStmt) and el.arg.param is not None
+
+
+def _bound_stage(compiled: CompiledCircuit, k: int, el: PhaseStmt, params: dict) -> ModeTransform:
+    """Stage ``k`` at its bound value, built on a cache miss by ``_compile_element``."""
+    key = (k, float(params.get(el.arg.param[1:], 0.0)))
+    stage = compiled.bound.get(key)
+    if stage is None:
+        if len(compiled.bound) >= BOUND_STAGE_CAP:
+            compiled.bound.clear()
+        stage = compiled.bound[key] = _compile_element(el, compiled.basis, params)
+    return stage
 
 
 def rebin(compiled: CompiledCircuit, party: str, kind: str) -> MeasurementPartition:

@@ -19,8 +19,7 @@ Conventions frozen here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,16 +69,18 @@ class BasisMismatch(ValueError):
 class ModeTransform:
     """A linear map on creation operators over a fixed mode basis.
 
-    ``columns[m]`` holds the entries of column m above
+    ``column(m)`` holds the entries of column m above
     ``COLUMN_DROP_TOLERANCE`` as (row index, complex value) pairs, row
     indices ascending; substitution iterates these instead of scanning the
-    dense matrix.  They are built on first read, so only the transforms
-    that ``substitute`` sees (usually the composed one) pay for them.
+    dense matrix.  Each column is built on first read and kept, so
+    ``substitute`` pays only for the columns its state occupies;
+    ``columns`` lists every column.
     """
 
     basis: ModeBasis
     matrix: np.ndarray
     name: str = ""
+    _columns: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.basis)
@@ -89,13 +90,17 @@ class ModeTransform:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @cached_property
+    def column(self, m: int) -> tuple:
+        col = self._columns.get(m)
+        if col is None:
+            entries = self.matrix[:, m]
+            keep = np.flatnonzero(np.abs(entries) > COLUMN_DROP_TOLERANCE)
+            col = self._columns[m] = tuple(zip(keep.tolist(), entries[keep].tolist()))
+        return col
+
+    @property
     def columns(self) -> tuple:
-        keep = np.abs(self.matrix) > COLUMN_DROP_TOLERANCE
-        return tuple(
-            tuple(zip(np.flatnonzero(k).tolist(), col[k].tolist()))
-            for col, k in zip(self.matrix.T, keep.T)
-        )
+        return tuple(self.column(m) for m in range(len(self.basis)))
 
 
 def identity(basis: ModeBasis, name: str = "identity") -> ModeTransform:
@@ -261,18 +266,21 @@ def compose(stages, basis: ModeBasis | None = None) -> ModeTransform:
     """Product of the stages in application order (first stage acts first).
 
     Every stage must be over one basis: the first stage's, or ``basis`` when
-    given (which an empty stage list needs).
+    given (which an empty stage list needs).  The product starts from the
+    first stage's matrix, and each later stage multiplies it on the left.
     """
     stages = list(stages)
     if basis is None:
         if not stages:
             raise ValueError("compose of no stages needs an explicit basis")
         basis = stages[0].basis
-    total = np.eye(len(basis), dtype=complex)
+    total = None
     for t in stages:
-        if t.basis != basis:
+        if t.basis is not basis and t.basis != basis:
             raise BasisMismatch(f"stage {t.name!r} is over {t.basis}, not {basis}")
-        total = t.matrix @ total
+        total = t.matrix if total is None else t.matrix @ total
+    if total is None:
+        total = np.eye(len(basis), dtype=complex)
     return ModeTransform(basis, total, "composed")
 
 

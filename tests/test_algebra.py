@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,3 +352,29 @@ class TestStateHelpers:
         mixed = add(st, vacuum(Statistics.FERMION))
         with pytest.raises(ValueError):
             particle_count(mixed)
+
+
+PICKLE_STEP = """
+import pickle, sys
+from fockflow.algebra import ModeBasis, Statistics, apply_creation, vacuum
+basis = ModeBasis(internals=("down", "up"), externals=("L", "R"))
+state = apply_creation(vacuum(Statistics.BOSON), basis.mode("up", "R"))
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(state))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    assert loaded.terms == state.terms
+    print(all(m in loaded.terms for m in state.terms))
+"""
+
+
+def test_unpickled_monomials_rehash_in_the_loading_process():
+    # Monomial caches its hash, and label names hash differently per process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def step(seed, *argv, data=None):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        cmd = [sys.executable, "-c", PICKLE_STEP, *argv]
+        return subprocess.run(cmd, env=env, input=data, capture_output=True, check=True).stdout
+
+    assert step("2", "load", data=step("1", "dump")) == b"True\n"

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import itertools
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from fockflow.cdl import (
     rebin,
     tokenize,
 )
+from fockflow.cdl.compiler import BOUND_STAGE_CAP
 from fockflow.experiments import (
     PhaseSettings,
     hyper_hybrid_circuit,
@@ -305,24 +307,49 @@ class TestCompiler:
         "name", ["hh_boson.cdl", "hh_fermion.cdl", "hh_distinguishable.cdl", "swap.cdl"]
     )
     def test_bound_phases_equal_literal_phases(self, name):
-        # execute's binding must build exactly the circuit a literal file compiles to
+        # execute's binding must build exactly the circuit a literal file compiles
+        # to, whether a stage is new, cached, shared by -0.0 or built after a clear
         tree = parse_source(read(name))
         compiled = compile_circuit(tree)
         names = [el.arg.param[1:] for el in tree.elements if isinstance(el, PhaseStmt)]
         assert sorted(names) == sorted(self.PARAMS)
-        for values in itertools.product((0.0, 0.9, -2 * math.pi / 3), repeat=4):
-            params = dict(zip(self.PARAMS, values))
-            literal = dataclasses.replace(
-                tree,
-                elements=tuple(
-                    dataclasses.replace(el, arg=PhaseArg(value=params[el.arg.param[1:]]))
-                    if isinstance(el, PhaseStmt)
-                    else el
-                    for el in tree.elements
-                ),
+
+        def literal(params):
+            elements = tuple(
+                dataclasses.replace(el, arg=PhaseArg(value=params[el.arg.param[1:]]))
+                if isinstance(el, PhaseStmt)
+                else el
+                for el in tree.elements
             )
-            got = execute(compiled, params)
-            assert got.terms == execute(compile_circuit(literal)).terms, params
+            return execute(compile_circuit(dataclasses.replace(tree, elements=elements))).terms
+
+        grid = [
+            dict(zip(self.PARAMS, values))
+            for values in itertools.product((0.0, 0.9, -2 * math.pi / 3), repeat=4)
+        ]
+        want = [literal(params) for params in grid]
+        for params, terms in zip(grid, want):
+            assert execute(compiled, params).terms == terms, params
+        rng = random.Random(11)
+        order = list(range(len(grid)))
+        rng.shuffle(order)
+        for k in order:  # a second pass: every stage is a cache hit
+            assert execute(compiled, grid[k]).terms == want[k], grid[k]
+        for values in itertools.product((-0.0, 0.9), repeat=4):
+            params = dict(zip(self.PARAMS, values))
+            assert execute(compiled, params).terms == literal(params), params
+        for _ in range(1250):  # 5,000 distinct phases overflow the cache many times
+            params = {p: rng.uniform(-math.pi, math.pi) for p in self.PARAMS}
+            assert execute(compiled, params).terms == literal(params), params
+            assert len(compiled.bound) <= BOUND_STAGE_CAP
+
+    def test_runs_share_output_monomials(self):
+        compiled = compile_circuit(parse_source(read("hh_boson.cdl")))
+        first = execute(compiled, self.PARAMS)
+        second = execute(compiled, self.PARAMS)
+        assert len(first.terms) == len(second.terms) > 1
+        assert all(a is b for a, b in zip(first.terms, second.terms))
+        assert all(hash(m) == hash((m.entries,)) for m in first.terms)
 
     def test_partitions_match_hardcoded(self):
         tree = parse_source(read("swap.cdl"))

@@ -9,7 +9,7 @@ import pytest
 
 from fockflow import cli
 from fockflow.algebra import StateVector
-from fockflow.cdl import execute
+from fockflow.cdl import compiler, execute
 from fockflow.cli import main, parse_phase
 from fockflow.experiments import MAX_MC_DRAWS
 
@@ -304,6 +304,38 @@ def test_circuit_compiles_once_per_command(capsys, monkeypatch, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+
+
+def _count_phase_builds(monkeypatch) -> list:
+    """Record every (port, value) phase stage the compiler builds."""
+    builds = []
+    phase_shifter = compiler.phase_shifter
+
+    def counted(basis, port, phase):
+        builds.append((port, phase))
+        return phase_shifter(basis, port, phase)
+
+    monkeypatch.setattr(compiler, "phase_shifter", counted)
+    return builds
+
+
+def test_sweep_builds_each_bound_stage_once(capsys, monkeypatch):
+    builds = _count_phase_builds(monkeypatch)
+    code, _, _ = run(capsys, "sweep", "hh", "--steps", "3")
+    assert code == 0
+    # the four `$` stages compile at 0.0; the 81 points then need only the
+    # other (stage, value) pairs, each built once
+    values = [k * 2 * math.pi / 3 for k in range(3)]
+    assert len(builds) == 4 + 4 * len([v for v in values if v != 0.0])
+    assert len(set(builds)) == len(builds)
+
+
+def test_search_builds_each_dial_stage_once(capsys, monkeypatch):
+    builds = _count_phase_builds(monkeypatch)
+    code, _, _ = run(capsys, "chsh", "hh", "--search")
+    assert code == 0
+    # four stages at 0.0, then 15 more values of each of the two dial phases
+    assert len(builds) <= 34
 
 
 SAME_SIDE = """\

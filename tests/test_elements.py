@@ -1,11 +1,13 @@
 """Unit tests for the optical-element mode transforms."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fockflow.algebra import ModeBasis, Statistics, UnknownMode, apply_creation, substitute, vacuum
+from fockflow.cdl import compile_circuit, parse_source
 from fockflow.elements import (
     COLUMN_DROP_TOLERANCE,
     BasisMismatch,
@@ -24,6 +26,7 @@ from fockflow.elements import (
     verify_unitary,
 )
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "fockflow" / "examples"
 BASIS = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U"))
 
 
@@ -299,3 +302,17 @@ class TestColumns:
                 assert type(k) is int and type(v) is complex
                 assert v == mat[k, m]
         assert (1, complex(2 * COLUMN_DROP_TOLERANCE)) in t.columns[0]
+
+    def test_substitute_builds_only_the_occupied_columns(self):
+        source = (EXAMPLES / "hh_distinguishable.cdl").read_text()
+        compiled = compile_circuit(parse_source(source))
+        t = compose(compiled.stages)
+        assert len(t.basis) == 16
+        (mono,) = compiled.initial.terms
+        occupied = sorted(t.basis.index_of(m) for m in mono.ops())
+        assert len(occupied) == 2
+        substitute(compiled.initial, t)
+        assert sorted(t._columns) == occupied  # the per-column cache
+        built = [t.column(k) for k in occupied]
+        assert len(t.columns) == 16
+        assert all(t.columns[k] is col for k, col in zip(occupied, built))
