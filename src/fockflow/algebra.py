@@ -6,6 +6,8 @@ rule used to bring operator products into canonical order: fermionic
 operators pick up the parity of the sorting permutation and annihilate the
 term when a mode repeats, while bosonic operators and operators of distinct
 distinguishable species commute freely and accumulate occupation numbers.
+One routine, a left insertion into sorted basis indices, applies that rule:
+``create`` builds initial states with it and ``substitute`` final ones.
 
 Modes are discrete labels (Kronecker deltas everywhere, no continuous
 spectra), ordered lexicographically by (species id, external index,
@@ -39,8 +41,7 @@ __all__ = [
     "ZeroNorm",
     "VACUUM",
     "vacuum",
-    "canonicalize",
-    "apply_creation",
+    "create",
     "substitute",
     "amplitude",
     "norm_squared",
@@ -92,9 +93,6 @@ class Mode:
 
     def order_key(self) -> tuple[int, int, int]:
         return (self.species, self.external.index, self.internal.index)
-
-    def __lt__(self, other: "Mode") -> bool:
-        return self.order_key() < other.order_key()
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         tag = f"{self.internal.name},{self.external.name}"
@@ -183,15 +181,18 @@ class Monomial:
 
     ``entries`` holds (mode, occupation) pairs with modes strictly
     increasing; occupations exceed one only for bosons.  The empty tuple is
-    the vacuum.  The hash is the dataclass one, ``hash((entries,))``,
-    computed once at construction.
+    the vacuum.  The hash is the dataclass one, ``hash((entries,))``; it
+    and the norm factor are computed once at construction.
     """
 
     entries: tuple[tuple[Mode, int], ...]
     _hash: int = field(init=False, compare=False, repr=False)
+    _norm_factor: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.entries,)))
+        norm = math.prod(math.factorial(occ) for _, occ in self.entries)
+        object.__setattr__(self, "_norm_factor", norm)
 
     def __hash__(self) -> int:
         return self._hash
@@ -205,10 +206,7 @@ class Monomial:
 
     def norm_factor(self) -> int:
         """prod n_k! over the occupations; 1 for singly occupied monomials."""
-        out = 1
-        for _, occ in self.entries:
-            out *= math.factorial(occ)
-        return out
+        return self._norm_factor
 
     def ops(self) -> list[Mode]:
         """Expand back into the flat operator list, canonical order."""
@@ -227,46 +225,6 @@ class Monomial:
 
 
 VACUUM = Monomial(())
-
-
-def canonicalize(ops, statistics: Statistics):
-    """Bring a creation-operator product into canonical order.
-
-    Returns ``(coefficient, monomial)``.  For fermions the coefficient is
-    the parity of the sorting permutation, and a repeated mode yields
-    ``(0, None)`` (Pauli exclusion).  Bosons and distinguishable species
-    reorder freely with coefficient +1, merging repeats into occupation
-    numbers.
-    """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("canonicalize needs at least one operator")
-    if statistics is Statistics.FERMION:
-        sign = 1
-        # insertion sort; each adjacent swap is one anticommutation
-        for i in range(1, len(ops)):
-            j = i
-            while j > 0 and ops[j].order_key() < ops[j - 1].order_key():
-                ops[j - 1], ops[j] = ops[j], ops[j - 1]
-                sign = -sign
-                j -= 1
-        for a, b in zip(ops, ops[1:]):
-            if a == b:
-                return 0, None
-        return sign, Monomial(tuple((m, 1) for m in ops))
-    ops.sort(key=Mode.order_key)
-    return 1, _grouped(ops)
-
-
-def _grouped(ops) -> Monomial:
-    """The monomial of a canonically sorted operator list; repeats become occupations."""
-    entries: list[tuple[Mode, int]] = []
-    for m in ops:
-        if entries and entries[-1][0] == m:
-            entries[-1] = (m, entries[-1][1] + 1)
-        else:
-            entries.append((m, 1))
-    return Monomial(tuple(entries))
 
 
 @dataclass
@@ -291,20 +249,46 @@ def vacuum(statistics: Statistics) -> StateVector:
     return StateVector(statistics, {VACUUM: 1.0 + 0.0j})
 
 
-def apply_creation(state: StateVector, mode: Mode) -> StateVector:
-    """Multiply every term of the state by a creation operator on the left.
+def _left_multiply(amp, columns, statistics: Statistics) -> dict:
+    """``amp`` times the product of ``columns``, leftmost first, on the vacuum.
 
-    Each product ``mode * monomial`` is brought to canonical order by
-    ``canonicalize``, the one reordering rule: a fermion crossing p
-    operators picks up (-1)**p, and a repeated fermionic mode drops the term.
+    Each column is a sequence of (basis index, value) pairs, one creation
+    operator's expansion.  The columns are applied right to left: every
+    partial product is left-multiplied by the next column and like partial
+    products merge before the following one.  Partial products are sorted
+    tuples of basis indices, which are canonical (``order_key``) ranks, so
+    a left insertion at position p crosses p operators: fermions pick up
+    (-1)**p and vanish on a repeated rank, other statistics just insert.
+    This is the one reordering rule; returns {rank tuple: weight}.
     """
-    out: dict = {}
-    for mono, amp in state.terms.items():
-        sign, new = canonicalize([mode, *mono.ops()], state.statistics)
-        if new is None:
-            continue
-        out[new] = out.get(new, 0.0) + sign * amp
-    return StateVector(state.statistics, out)
+    fermion = statistics is Statistics.FERMION
+    partial = {(): amp}
+    for column in reversed(columns):
+        grown: dict = {}
+        for ranks, weight in partial.items():
+            for r, v in column:
+                pos = bisect_left(ranks, r)
+                if fermion:
+                    if pos < len(ranks) and ranks[pos] == r:
+                        continue
+                    if pos % 2:
+                        v = -v
+                key = ranks[:pos] + (r,) + ranks[pos:]
+                grown[key] = grown.get(key, 0.0) + weight * v
+        partial = grown
+    return partial
+
+
+def create(basis: ModeBasis, statistics: Statistics, ranks) -> StateVector:
+    """The state a_r0^dag a_r1^dag ... |0> over basis indices, leftmost first.
+
+    Built by the same left insertion as ``substitute``, so fermions pick up
+    the parity of the sorting permutation and a repeated fermionic rank
+    gives the zero state.  Bosons sharing a mode keep the raw product, of
+    norm^2 prod n_k!.
+    """
+    terms = _left_multiply(1.0 + 0.0j, [((r, 1.0),) for r in ranks], statistics)
+    return StateVector(statistics, {basis.monomial(k): w for k, w in terms.items()})
 
 
 def substitute(state: StateVector, transform) -> StateVector:
@@ -317,37 +301,18 @@ def substitute(state: StateVector, transform) -> StateVector:
     modes are read.  Output monomials come from ``basis.monomial``, so
     every run over one basis shares them.
 
-    Each input monomial is expanded one factor at a time, right to left:
-    every partial product is left-multiplied by the next factor's column
-    and like partial products merge before the following factor.  Partial
-    products are sorted tuples of basis indices, which are canonical
-    (``order_key``) ranks, so a left insertion at position p crosses p
-    operators: fermions pick up (-1)**p and vanish on a repeated rank,
-    other statistics just insert.  Work therefore grows with the number of
+    Each input monomial is expanded by ``_left_multiply``, the left
+    insertion that ``create`` also builds initial states with, and the
+    results merge in term order.  Work therefore grows with the number of
     distinct partial products (at most C(m + N - 1, N) for N particles in
     m modes, C(m, N) for fermions) times the column size, not with the m^N
     terms of the full distributive expansion.
     """
-    fermion = state.statistics is Statistics.FERMION
     basis, column_of = transform.basis, transform.column
     merged: dict = {}
     for mono, amp in state.terms.items():
-        partial = {(): amp}
-        for mode in reversed(mono.ops()):
-            column = column_of(basis.index_of(mode))
-            grown: dict = {}
-            for ranks, weight in partial.items():
-                for r, v in column:
-                    pos = bisect_left(ranks, r)
-                    if fermion:
-                        if pos < len(ranks) and ranks[pos] == r:
-                            continue
-                        if pos % 2:
-                            v = -v
-                    key = ranks[:pos] + (r,) + ranks[pos:]
-                    grown[key] = grown.get(key, 0.0) + weight * v
-            partial = grown
-        for ranks, weight in partial.items():
+        columns = [column_of(basis.index_of(mode)) for mode in mono.ops()]
+        for ranks, weight in _left_multiply(amp, columns, state.statistics).items():
             merged[ranks] = merged.get(ranks, 0.0) + weight
     out = {basis.monomial(ranks): w for ranks, w in merged.items()}
     return StateVector(state.statistics, out)

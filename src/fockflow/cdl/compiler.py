@@ -8,11 +8,10 @@ from ..algebra import (
     ModeBasis,
     StateVector,
     Statistics,
-    apply_creation,
+    create,
     norm_squared,
     scale,
     substitute,
-    vacuum,
 )
 from ..analysis import MeasurementPartition
 from ..elements import (
@@ -84,24 +83,24 @@ def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
     are listed in operator product order: the first declaration is the
     leftmost creation operator, and bosons declared in one mode start in
     the normalized number state. Under distinguishable statistics the k-th
-    particle gets species tag k+1 in declaration order.
+    particle gets species tag k+1 in declaration order. The initial state
+    comes from ``create``, whose left insertion is the reordering rule
+    ``substitute`` applies to the final state too.
     """
     stats = _STATISTICS[tree.statistics]
     internals = tuple(r.name for r in tree.internals)
     externals = tuple(r.name for r in tree.externals)
     if stats is Statistics.DISTINGUISHABLE:
-        species = tuple(range(1, len(tree.particles) + 1))
+        species = tags = tuple(range(1, len(tree.particles) + 1))
     else:
-        species = (0,)
+        species, tags = (0,), (0,) * len(tree.particles)
     basis = ModeBasis(internals=internals, externals=externals, species=species)
 
-    state = vacuum(stats)
-    for k in range(len(tree.particles) - 1, -1, -1):
-        decl = tree.particles[k]
-        sp = species[k] if stats is Statistics.DISTINGUISHABLE else species[0]
-        state = apply_creation(
-            state, basis.mode(decl.internal.name, decl.external.name, species=sp)
-        )
+    ranks = [
+        basis.index_of(basis.mode(p.internal.name, p.external.name, species=sp))
+        for p, sp in zip(tree.particles, tags)
+    ]
+    state = create(basis, stats, ranks)
     n2 = norm_squared(state)
     if n2 != 1.0:  # bosons sharing a mode: the raw product has norm^2 prod n_k!
         state = scale(state, n2**-0.5)

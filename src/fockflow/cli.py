@@ -265,10 +265,20 @@ def _table_json(table) -> dict:
 
 
 def _read_tree(path: str):
-    source = Path(path).read_text()  # OSError propagates as exit 4
+    try:
+        source = Path(path).read_text(encoding="utf-8")  # OSError propagates as exit 4
+    except UnicodeDecodeError as e:
+        raise _InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
     try:
         return parse_source(source)
     except (LexError, ParseError, SemanticError) as e:
+        raise _InputError(f"{path}: {e}") from e
+
+
+def _compile(path: str, tree):
+    try:
+        return compile_circuit(tree)
+    except ValueError as e:
         raise _InputError(f"{path}: {e}") from e
 
 
@@ -315,10 +325,7 @@ def _runner(args, signed: bool = False):
             f"--param {', '.join(unknown)}: {path} declares no such parameter"
             f" (it has {', '.join(sorted(declared)) or 'none'})"
         )
-    try:
-        compiled = compile_circuit(tree)
-    except ValueError as e:
-        raise _InputError(f"{path}: {e}") from e
+    compiled = _compile(path, tree)
     if "A" not in compiled.partitions or "B" not in compiled.partitions:
         raise _InputError(f"{path}: file must measure both parties A and B")
     if args.kind:
@@ -503,13 +510,8 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_check(args) -> int:
-    source = Path(args.file).read_text()  # OSError propagates as exit 4
-    try:
-        tree = parse_source(source)
-        compile_circuit(tree)
-    except (LexError, ParseError, SemanticError, ValueError) as e:
-        print(f"error: {e}")
-        return 2
+    tree = _read_tree(args.file)
+    _compile(args.file, tree)
     counts = (len(tree.particles), len(tree.elements), len(tree.measures))
     record = _record(
         args,

@@ -35,10 +35,9 @@ from .algebra import (
     ModeBasis,
     StateVector,
     Statistics,
-    apply_creation,
+    create,
     norm_squared,
     substitute,
-    vacuum,
 )
 from .analysis import (
     CoincidenceTable,
@@ -155,14 +154,10 @@ def circuit_stages(name: str, basis: ModeBasis, settings: PhaseSettings):
 
 
 def _initial_pair(basis: ModeBasis, statistics: Statistics, internal: str) -> StateVector:
-    # the left-mover is created first, the right-mover on top of it, so the
-    # operator product reads (right)(left)|0>
-    left_species = basis.species[-1]
-    right_species = basis.species[0]
-    state = vacuum(statistics)
-    state = apply_creation(state, basis.mode(internal, "L", left_species))
-    state = apply_creation(state, basis.mode(internal, "R", right_species))
-    return state
+    # the operator product reads (right)(left)|0>
+    right = basis.index_of(basis.mode(internal, "R", basis.species[0]))
+    left = basis.index_of(basis.mode(internal, "L", basis.species[-1]))
+    return create(basis, statistics, [right, left])
 
 
 def run_circuit(name: str, statistics: Statistics, settings: PhaseSettings) -> CircuitRun:

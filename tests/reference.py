@@ -1,10 +1,16 @@
 """Slow, direct computations kept as test oracles.
 
+``canonicalize`` is the reference's own reordering rule: an insertion
+sort over ``Mode`` objects that counts adjacent swaps, where the engine
+inserts basis indices with ``bisect``.  ``apply_creation`` left-multiplies
+a state by one creation operator through it; chains of it build the test
+states, and the initial states ``algebra.create`` must reproduce.
+
 ``reference_substitute`` is the full distributive expansion of
 ``substitute``: every input monomial is expanded over the product of its
 operators' columns (m^N terms for N operators on m modes), and each product
 is re-ordered with ``canonicalize``.  It shares no code with
-``algebra.substitute`` beyond ``canonicalize`` and the state types.
+``algebra.substitute`` beyond the state types.
 
 ``reference_coincidence_table`` tabulates term by term: a monomial of
 two operators lands in cell (i, j) when exactly one of its modes' slots
@@ -22,8 +28,64 @@ from fractions import Fraction
 
 import numpy as np
 
-from fockflow.algebra import VACUUM, StateVector, canonicalize, norm_squared
+from fockflow.algebra import VACUUM, Mode, Monomial, StateVector, Statistics, norm_squared
 from fockflow.analysis import CoincidenceTable
+
+
+def canonicalize(ops, statistics: Statistics):
+    """Bring a creation-operator product into canonical order.
+
+    Returns ``(coefficient, monomial)``.  For fermions the coefficient is
+    the parity of the sorting permutation, and a repeated mode yields
+    ``(0, None)`` (Pauli exclusion).  Bosons and distinguishable species
+    reorder freely with coefficient +1, merging repeats into occupation
+    numbers.
+    """
+    ops = list(ops)
+    if not ops:
+        raise ValueError("canonicalize needs at least one operator")
+    if statistics is Statistics.FERMION:
+        sign = 1
+        # insertion sort; each adjacent swap is one anticommutation
+        for i in range(1, len(ops)):
+            j = i
+            while j > 0 and ops[j].order_key() < ops[j - 1].order_key():
+                ops[j - 1], ops[j] = ops[j], ops[j - 1]
+                sign = -sign
+                j -= 1
+        for a, b in zip(ops, ops[1:]):
+            if a == b:
+                return 0, None
+        return sign, Monomial(tuple((m, 1) for m in ops))
+    ops.sort(key=Mode.order_key)
+    return 1, _grouped(ops)
+
+
+def _grouped(ops) -> Monomial:
+    """The monomial of a canonically sorted operator list; repeats become occupations."""
+    entries: list[tuple[Mode, int]] = []
+    for m in ops:
+        if entries and entries[-1][0] == m:
+            entries[-1] = (m, entries[-1][1] + 1)
+        else:
+            entries.append((m, 1))
+    return Monomial(tuple(entries))
+
+
+def apply_creation(state: StateVector, mode: Mode) -> StateVector:
+    """Multiply every term of the state by a creation operator on the left.
+
+    Each product ``mode * monomial`` is brought to canonical order by
+    ``canonicalize``: a fermion crossing p operators picks up (-1)**p, and
+    a repeated fermionic mode drops the term.
+    """
+    out: dict = {}
+    for mono, amp in state.terms.items():
+        sign, new = canonicalize([mode, *mono.ops()], state.statistics)
+        if new is None:
+            continue
+        out[new] = out.get(new, 0.0) + sign * amp
+    return StateVector(state.statistics, out)
 
 
 def reference_substitute(state, transform):

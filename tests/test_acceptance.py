@@ -21,8 +21,6 @@ from fockflow.algebra import (
     ModeBasis,
     Statistics,
     add,
-    apply_creation,
-    canonicalize,
     norm_squared,
     scale,
     substitute,
@@ -73,7 +71,7 @@ from fockflow.experiments import (
     sorter_cascade,
     swap_circuit,
 )
-from reference import reference_decode, reference_substitute
+from reference import apply_creation, canonicalize, reference_decode, reference_substitute
 
 TOL_EXACT = 1e-12
 TOL_TABLE = 1e-9

@@ -19,8 +19,6 @@ from fockflow.algebra import (
     ZeroNorm,
     add,
     amplitude,
-    apply_creation,
-    canonicalize,
     detector_distribution,
     norm_squared,
     outcome_probability,
@@ -30,7 +28,7 @@ from fockflow.algebra import (
     vacuum,
 )
 from fockflow.elements import ModeTransform, identity, hybrid_beam_splitter
-from reference import reference_substitute
+from reference import apply_creation, canonicalize, reference_substitute
 
 BASIS = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U"))
 POLAR = ModeBasis(internals=("H", "V"), externals=("L", "D", "R", "U"))
@@ -356,9 +354,9 @@ class TestStateHelpers:
 
 PICKLE_STEP = """
 import pickle, sys
-from fockflow.algebra import ModeBasis, Statistics, apply_creation, vacuum
+from fockflow.algebra import ModeBasis, Statistics, create
 basis = ModeBasis(internals=("down", "up"), externals=("L", "R"))
-state = apply_creation(vacuum(Statistics.BOSON), basis.mode("up", "R"))
+state = create(basis, Statistics.BOSON, [basis.index_of(basis.mode("up", "R"))])
 if sys.argv[1] == "dump":
     sys.stdout.buffer.write(pickle.dumps(state))
 else:

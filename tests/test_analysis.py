@@ -12,7 +12,6 @@ from fockflow.algebra import (
     Statistics,
     ZeroNorm,
     add,
-    apply_creation,
     norm_squared,
     scale,
     substitute,
@@ -21,7 +20,6 @@ from fockflow.algebra import (
 from fockflow.analysis import (
     ChshSettings,
     CoincidenceTable,
-    DEFAULT_SIGNS,
     DetectorDistribution,
     MeasurementPartition,
     OverlappingPartitions,
@@ -36,7 +34,7 @@ from fockflow.analysis import (
 )
 from fockflow.elements import beam_splitter, compose, hybrid_beam_splitter, phase_shifter
 from fockflow.experiments import PhaseSettings
-from reference import reference_coincidence_table
+from reference import apply_creation, reference_coincidence_table
 
 PORTS = ("L", "D", "R", "U")
 BASIS = ModeBasis(internals=("down", "up"), externals=PORTS)

@@ -9,11 +9,11 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fockflow import cli
-from fockflow.algebra import Statistics, norm_squared, outcome_probability
+from fockflow.algebra import Statistics, norm_squared, outcome_probability, scale, vacuum
 from fockflow.analysis import completeness
 from fockflow.cdl import (
     LabelRef,
@@ -37,6 +37,7 @@ from fockflow.experiments import (
     partition,
     swap_circuit,
 )
+from reference import apply_creation
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ROOT / "src" / "fockflow" / "examples"
@@ -552,6 +553,57 @@ def cdl_sources(draw):
             )
             lines.append(f"measure {party} internal {bins}")
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def particle_files(draw):
+    """Declarations only: 1-5 particles on 1-3 internals and 1-4 ports, any statistics.
+
+    Fermions take distinct modes in any declaration order; bosons and
+    distinguishable particles may repeat a mode.
+    """
+    internals = INTERNAL_NAMES[: draw(st.integers(1, 3))]
+    externals = EXTERNAL_NAMES[: draw(st.integers(1, 4))]
+    statistics = draw(st.sampled_from(("boson", "fermion", "distinguishable")))
+    modes = [(i, e) for e in externals for i in internals]
+    fermion = statistics == "fermion"
+    count = draw(st.integers(1, min(5, len(modes)) if fermion else 5))
+    particles = draw(
+        st.lists(st.sampled_from(modes), min_size=count, max_size=count, unique=fermion)
+    )
+    return "\n".join(
+        [
+            "internal " + " ".join(internals),
+            "external " + " ".join(externals),
+            f"statistics {statistics}",
+            *(f"particle {i} {e}" for i, e in particles),
+        ]
+    ) + "\n"
+
+
+class TestInitialState:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(source=particle_files())
+    @example(source="internal a\nexternal L R\nstatistics fermion\nparticle a R\nparticle a L\n")
+    @example(
+        source="internal a\nexternal L R\nstatistics boson\nparticle a R\nparticle a L\nparticle a R\n"
+    )
+    def test_initial_state_matches_the_reference_creation_chain(self, source):
+        # the reference reorders Mode objects by insertion sort, the compiler
+        # inserts basis indices; terms, their order and every bit must agree
+        tree = parse_source(source)
+        compiled = compile_circuit(tree)
+        stats, basis = compiled.statistics, compiled.basis
+        want = vacuum(stats)
+        for k in reversed(range(len(tree.particles))):
+            p = tree.particles[k]
+            sp = k + 1 if stats is Statistics.DISTINGUISHABLE else 0
+            want = apply_creation(want, basis.mode(p.internal.name, p.external.name, species=sp))
+        n2 = norm_squared(want)
+        if n2 != 1.0:
+            want = scale(want, n2**-0.5)
+        got = [(m, repr(a)) for m, a in compiled.initial.terms.items()]
+        assert got == [(m, repr(a)) for m, a in want.terms.items()]
 
 
 class TestGeneratedCircuits:

@@ -534,9 +534,9 @@ class TestCheck:
     def test_undeclared_label(self, capsys, tmp_path):
         f = tmp_path / "bad.cdl"
         f.write_text("internal d\nexternal a\nstatistics boson\nparticle d z\n")
-        code, out, _ = run(capsys, "check", str(f))
+        code, _, err = run(capsys, "check", str(f))
         assert code == 2
-        assert "line 4, col 12" in out
+        assert "line 4, col 12" in err
 
     @pytest.mark.parametrize("command", ["check", "table"])
     def test_element_error_has_a_position(self, capsys, tmp_path, command):
@@ -552,9 +552,18 @@ class TestCheck:
     def test_empty_file(self, capsys, tmp_path):
         f = tmp_path / "empty.cdl"
         f.write_text("")
-        code, out, _ = run(capsys, "check", str(f))
+        code, _, err = run(capsys, "check", str(f))
         assert code == 2
-        assert "missing statistics declaration" in out
+        assert "missing statistics declaration" in err
+
+    @pytest.mark.parametrize("command", ["table", "chsh", "sweep", "check"])
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path, command):
+        f = tmp_path / "utf16.cdl"
+        f.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {f}: not UTF-8 text (invalid start byte at byte 0)\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/no/such/file.cdl")

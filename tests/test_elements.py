@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockflow.algebra import ModeBasis, Statistics, UnknownMode, apply_creation, substitute, vacuum
+from fockflow.algebra import ModeBasis, Statistics, UnknownMode, substitute, vacuum
 from fockflow.cdl import compile_circuit, parse_source
 from fockflow.elements import (
     COLUMN_DROP_TOLERANCE,
@@ -25,6 +25,7 @@ from fockflow.elements import (
     phase_shifter,
     verify_unitary,
 )
+from reference import apply_creation
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "fockflow" / "examples"
 BASIS = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U"))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fockflow.algebra import Statistics, canonicalize, norm_squared, outcome_probability
+from fockflow.algebra import Statistics, norm_squared, outcome_probability
 from fockflow.analysis import (
     chsh_value,
     ChshSettings,
@@ -36,6 +36,7 @@ from fockflow.experiments import (
     sorter_cascade,
     swap_circuit,
 )
+from reference import canonicalize
 
 SETTINGS = PhaseSettings(phi_l=0.3, phi_d=1.1, phi_r=2.0, phi_u=0.7)
 TABLE_KINDS = ("path-path", "spin-spin", "spin-path", "path-spin")

@@ -1,27 +1,34 @@
-"""Unused-import check over the package source, with the standard library's ``ast``."""
+"""Unused-import check over the package and its tests, with the standard library's ``ast``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fockflow"
-SOURCES = sorted(PACKAGE.rglob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fockflow"
+SOURCES = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
     """Imported names that the module neither reads nor lists in ``__all__``.
 
-    ``from __future__`` imports are compiler directives and are skipped.  An
-    attribute chain such as ``np.eye`` reads its leading name.
+    ``from __future__`` imports are compiler directives and are skipped, and
+    so is a name imported on a line marked ``# noqa: F401`` (an import kept
+    for its side effect).  An attribute chain such as ``np.eye`` reads its
+    leading name.
     """
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            names = [(a, a.asname or a.name.split(".")[0]) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported |= {a.asname or a.name for a in node.names}
+            names = [(a, a.asname or a.name) for a in node.names]
+        else:
+            continue
+        imported |= {name for a, name in names if "# noqa: F401" not in lines[a.lineno - 1]}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in tree.body:
         targets = getattr(node, "targets", [])
@@ -30,7 +37,11 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def _source_id(path: Path) -> str:
+    return str(path.relative_to(PACKAGE if path.is_relative_to(PACKAGE) else ROOT))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_source_id)
 def test_every_import_is_used_or_exported(path):
     assert unused_imports(path.read_text()) == []
 
@@ -42,3 +53,8 @@ def test_check_sees_unused_and_exported_names():
         "__all__ = ['Label']\nx = np.eye(2)\n"
     )
     assert unused_imports(source) == ["Mode", "os"]
+
+
+def test_check_honours_noqa_on_the_imported_name():
+    source = "import os  # noqa: F401\nfrom .algebra import (\n    Mode,  # noqa: F401\n    Label,\n)\n"
+    assert unused_imports(source) == ["Label"]
