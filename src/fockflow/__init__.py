@@ -7,6 +7,7 @@ A circuit is defined in the circuit description language and run as
 
 __version__ = "0.1.0"
 
+from .algebra import detector_distribution
 from .analysis import coincidence_table, correlation
 from .cdl import compile_circuit, execute, parse_source
 
@@ -15,6 +16,7 @@ __all__ = [
     "coincidence_table",
     "compile_circuit",
     "correlation",
+    "detector_distribution",
     "execute",
     "parse_source",
 ]

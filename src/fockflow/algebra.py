@@ -49,7 +49,6 @@ __all__ = [
     "outcome_probability",
     "add",
     "scale",
-    "particle_count",
 ]
 
 INDISTINCT_SPECIES = 0
@@ -200,10 +199,6 @@ class Monomial:
     def __reduce__(self):  # rebuild, so the hash is taken in the loading process
         return Monomial, (self.entries,)
 
-    @property
-    def particle_count(self) -> int:
-        return sum(occ for _, occ in self.entries)
-
     def norm_factor(self) -> int:
         """prod n_k! over the occupations; 1 for singly occupied monomials."""
         return self._norm_factor
@@ -335,30 +330,29 @@ def norm_squared(state: StateVector) -> float:
     return sum(abs(a) ** 2 * m.norm_factor() for m, a in state.terms.items())
 
 
-def detector_distribution(state: StateVector, basis: ModeBasis | None = None) -> dict:
-    """Probability of every detector pattern, in sorted pattern order.
+def detector_distribution(state: StateVector) -> tuple[dict, float]:
+    """(probability of every detector pattern, norm^2), in one pass.
 
     Detectors are species-blind: they see an (internal, external) slot,
     never which particle arrived.  A pattern is the sorted tuple of
-    (external index, internal index) slots, one per particle.  Each term
-    adds its Born weight |a|^2 prod n_k! to its pattern, and each pattern
-    weight is divided by the state's norm^2.  With ``basis``, terms that
-    touch a mode outside it are skipped (the norm still counts them).
+    (external index, internal index) slots, one per particle, so its
+    length is the particle count.  Each term adds its Born weight
+    |a|^2 prod n_k! to its pattern, and each pattern weight is divided by
+    the state's norm^2; the probabilities come in sorted pattern order.
     The norm^2 is the ``sum`` of every term's weight in term order, so it
-    is the same float that ``norm_squared`` returns.
+    is the same float that ``norm_squared`` returns.  A zero state raises
+    ``ZeroNorm``.
     """
-    inside = None if basis is None else set(basis.modes)
     born = []
     weights: dict = {}
     for mono, amp in state.terms.items():
         born.append(abs(amp) ** 2 * mono.norm_factor())
-        if inside is None or all(m in inside for m, _ in mono.entries):
-            pattern = mono.pattern
-            weights[pattern] = weights.get(pattern, 0.0) + born[-1]
+        pattern = mono.pattern
+        weights[pattern] = weights.get(pattern, 0.0) + born[-1]
     n2 = sum(born)
     if n2 <= 0.0:
         raise ZeroNorm("state has zero norm")
-    return {p: weights[p] / n2 for p in sorted(weights)}
+    return {p: weights[p] / n2 for p in sorted(weights)}, n2
 
 
 def outcome_probability(state: StateVector, outcome: Monomial) -> float:
@@ -368,7 +362,7 @@ def outcome_probability(state: StateVector, outcome: Monomial) -> float:
     ignored: the probabilities of every species assignment matching its
     (internal, external) pattern are summed.
     """
-    return detector_distribution(state).get(outcome.pattern, 0.0)
+    return detector_distribution(state)[0].get(outcome.pattern, 0.0)
 
 
 def add(a: StateVector, b: StateVector) -> StateVector:
@@ -383,12 +377,3 @@ def add(a: StateVector, b: StateVector) -> StateVector:
 def scale(state: StateVector, factor: complex) -> StateVector:
     return StateVector(state.statistics, {m: factor * a for m, a in state.terms.items()})
 
-
-def particle_count(state: StateVector) -> int | None:
-    """Common particle number of all terms, or None for the zero state."""
-    counts = {m.particle_count for m in state.terms}
-    if not counts:
-        return None
-    if len(counts) != 1:
-        raise ValueError(f"state mixes particle numbers: {sorted(counts)}")
-    return counts.pop()

@@ -1,4 +1,4 @@
-"""Observables extracted from final states.
+"""Observables read from detector distributions.
 
 Coincidence tables post-select events with exactly one particle on each
 party's side; the normalized correlation divides by the four-cell mass, not
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ModeBasis, StateVector, Statistics, detector_distribution
+from .algebra import Statistics
 
 __all__ = [
     "MeasurementPartition",
@@ -128,29 +128,29 @@ class DetectorDistribution:
         return sum(self.probs.get(d, 0.0) for d in detectors)
 
 
-def coincidence_table(
-    state: StateVector, part_a: MeasurementPartition, part_b: MeasurementPartition
-):
+def coincidence_table(probs: dict, part_a: MeasurementPartition, part_b: MeasurementPartition):
     """2x2 (or NxM) table of one-particle-per-party detection probabilities.
 
-    Read from ``detector_distribution``: entry (i, j) is the probability of
-    the two-particle patterns with one slot in bin i of party A and the
-    other in bin j of party B.  Every other pattern (same-side pairs, double
-    occupancy, other particle counts) is left to the completeness check.
+    ``probs`` is a detector distribution, the first value that
+    ``algebra.detector_distribution`` returns: entry (i, j) is the
+    probability of the two-particle patterns with one slot in bin i of
+    party A and the other in bin j of party B.  Every other pattern
+    (same-side pairs, double occupancy, other particle counts) is left to
+    the completeness check.
     """
     slots_a, slots_b = part_a.slots, part_b.slots
     if slots_a.keys() & slots_b.keys():
         raise OverlappingPartitions("party partitions share detector slots")
-    probs = np.zeros((len(part_a.bins), len(part_b.bins)))
-    for pattern, p in detector_distribution(state).items():
+    cells = np.zeros((len(part_a.bins), len(part_b.bins)))
+    for pattern, p in probs.items():
         if len(pattern) != 2:
             continue
         first, second = pattern
         if first in slots_b:
             first, second = second, first
         if first in slots_a and second in slots_b:
-            probs[slots_a[first], slots_b[second]] += p
-    return CoincidenceTable(part_a.labels(), part_b.labels(), probs)
+            cells[slots_a[first], slots_b[second]] += p
+    return CoincidenceTable(part_a.labels(), part_b.labels(), cells)
 
 
 def correlation(table: CoincidenceTable) -> float:
@@ -260,11 +260,11 @@ def factorization_residual(table) -> float:
     return float(np.max(np.abs(m - predicted)))
 
 
-def completeness(state: StateVector, basis: ModeBasis) -> float:
-    """Total probability of every detector outcome over the basis.
+def completeness(probs: dict) -> float:
+    """Total probability of every detector outcome in a detector distribution.
 
-    The sum, in sorted pattern order, of ``detector_distribution(state,
-    basis)``: any particle count, species-blind, terms touching a mode
-    outside ``basis`` left out.
+    The sum, in sorted pattern order, of ``probs`` (the first value that
+    ``algebra.detector_distribution`` returns): any particle count,
+    species-blind.
     """
-    return sum(detector_distribution(state, basis).values())
+    return sum(probs.values())

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: table, chsh, sweep, signal, cascade, check. Every
-subcommand accepts --json (machine output, schema version 1), --seed,
-and --tolerance. Exit codes: 0 success, 2 input error, 3 numeric
-invariant failure (including a final-state norm off 1 by more than
---tolerance), 4 I/O failure.
+subcommand accepts --json (machine output, schema version 1; sweep
+writes CSV only and exits 2 on it), --seed, and --tolerance. Exit codes:
+0 success, 2 input error, 3 numeric invariant failure (including a
+final-state norm off 1 by more than --tolerance), 4 I/O failure.
 
 Phases are radians and accept the same constant expressions as the
 circuit language (``pi/4``, ``-0.5``; write ``--phase-d=-pi/4`` so the
@@ -43,7 +43,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import norm_squared, particle_count
+from .algebra import ZeroNorm, detector_distribution
 from .analysis import (
     DEFAULT_SIGNS,
     ChshSettings,
@@ -189,15 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table", parents=[circuit, common, phases, params], help="coincidence table")
 
     p = sub.add_parser("chsh", parents=[circuit, common, params], help="CHSH combination")
-    p.add_argument(
+    g = p.add_mutually_exclusive_group()
+    g.add_argument(
         "--dials",
         type=_dial_quadruple,
         metavar="A0,A1,B0,B1",
         help="two comma-separated dial settings per party (default 0,pi,pi/4,-pi/4)",
     )
-    p.add_argument(
-        "--search", action="store_true", help="grid-search dials at pi/8 steps"
-    )
+    g.add_argument("--search", action="store_true", help="grid-search dials at pi/8 steps")
 
     p = sub.add_parser("sweep", parents=[circuit, common], help="CSV phase sweep")
     p.add_argument("--steps", type=int, default=9, help="grid points per phase axis")
@@ -295,9 +294,11 @@ def _runner(args, signed: bool = False):
     """Parse and compile the circuit once: (compiled, kind, (part A, part B), run).
 
     ``run(settings)`` executes the compiled circuit with those phases and
-    any --param bound, checks the norm against --tolerance and returns
-    (state, coincidence table).  ``signed`` rejects bin labels outside the
-    correlation sign map.  ``--param`` may bind only a `$name` the file
+    any --param bound, reads its ``detector_distribution`` once, checks
+    the norm^2 that comes with it against --tolerance and returns
+    (detector probabilities, coincidence table); a zero state fails the
+    check too.  ``signed`` rejects bin labels outside the correlation sign
+    map.  ``--param`` may bind only a `$name` the file
     declares, and not a standard phase, which each command binds itself.
     """
     path = _circuit_path(args)
@@ -342,10 +343,13 @@ def _runner(args, signed: bool = False):
 
     def run(settings: PhaseSettings):
         state = execute(compiled, {**_phases_dict(settings), **extra})
-        n2 = norm_squared(state)
+        try:
+            probs, n2 = detector_distribution(state)
+        except ZeroNorm:
+            raise _NumericFailure("final state norm^2 = 0, expected 1") from None
         if abs(n2 - 1.0) > args.tolerance:
             raise _NumericFailure(f"final state norm^2 = {n2!r}, expected 1")
-        return state, coincidence_table(state, *parts)
+        return probs, coincidence_table(probs, *parts)
 
     return compiled, kind, parts, run
 
@@ -366,14 +370,14 @@ def cmd_table(args) -> int:
     settings = PhaseSettings(args.phase_l, args.phase_d, args.phase_r, args.phase_u)
     compiled, kind, _, run = _runner(args)
     stats_name = compiled.tree.statistics
-    state, table = run(settings)
-    count = particle_count(state)
+    probs, table = run(settings)
+    count = len(next(iter(probs)))  # every pattern lists one slot per particle
     if count != 2:
         print(
             f"note: the table counts two-particle outcomes only; this state has {count} particles",
             file=sys.stderr,
         )
-    comp = completeness(state, compiled.basis)
+    comp = completeness(probs)
     if abs(comp - 1.0) > args.tolerance:
         raise _NumericFailure(f"outcome probabilities sum to {comp!r}, not 1")
     try:
@@ -444,6 +448,8 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.json:
+        raise _InputError("sweep writes CSV; --json is not supported")
     if not 0 <= args.steps <= MAX_SWEEP_STEPS:
         raise _InputError(f"--steps must be between 0 and {MAX_SWEEP_STEPS}")
     _, kind, (part_a, part_b), run = _runner(args, signed=True)

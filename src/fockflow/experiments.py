@@ -36,6 +36,7 @@ from .algebra import (
     StateVector,
     Statistics,
     create,
+    detector_distribution,
     norm_squared,
     substitute,
 )
@@ -212,7 +213,9 @@ def run_table(run: CircuitRun, kind: str) -> CoincidenceTable:
     kind_a, kind_b = kind.split("-")
     names = {"path": "external", "spin": "internal"}
     return coincidence_table(
-        run.final_state, partition(run, "A", names[kind_a]), partition(run, "B", names[kind_b])
+        detector_distribution(run.final_state)[0],
+        partition(run, "A", names[kind_a]),
+        partition(run, "B", names[kind_b]),
     )
 
 
@@ -241,19 +244,18 @@ def party_occupations(run: CircuitRun, party: str) -> CoincidenceTable:
 
     This is the diagonal of the single-particle reduced density matrix,
     arranged as a 2x2 table; its factorization residual measures whether
-    the party's internal and external readouts are correlated.
+    the party's internal and external readouts are correlated.  Read from
+    ``detector_distribution``: each pattern adds its probability once per
+    slot it holds at the party's ports.
     """
     ports = ALICE_PORTS if party == "A" else BOB_PORTS
     basis = run.basis
-    n2 = norm_squared(run.final_state)
+    columns = {basis.externals.index(port): j for j, port in enumerate(ports)}
     occ = np.zeros((len(basis.internals), len(ports)))
-    for mono, amp in run.final_state.terms.items():
-        w = abs(amp) ** 2 * mono.norm_factor() / n2
-        for mode, count in mono.entries:
-            if mode.external.name in ports:
-                i = basis.internals.index(mode.internal.name)
-                j = ports.index(mode.external.name)
-                occ[i, j] += w * count
+    for pattern, p in detector_distribution(run.final_state)[0].items():
+        for e, i in pattern:
+            if e in columns:
+                occ[i, columns[e]] += p
     return CoincidenceTable(tuple(basis.internals), tuple(ports), occ)
 
 

@@ -22,7 +22,6 @@ from fockflow.algebra import (
     detector_distribution,
     norm_squared,
     outcome_probability,
-    particle_count,
     scale,
     substitute,
     vacuum,
@@ -322,9 +321,22 @@ class TestOutcomeProbability:
         st = vacuum(Statistics.DISTINGUISHABLE)
         st = apply_creation(st, basis.mode("down", "L", species=1))
         st = apply_creation(st, basis.mode("down", "R", species=2))
-        dist = detector_distribution(substitute(st, beam_splitter(basis, "L", "R")))
+        out = substitute(st, beam_splitter(basis, "L", "R"))
+        dist, n2 = detector_distribution(out)
         assert list(dist) == [((0, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (1, 0))]
         assert list(dist.values()) == pytest.approx([0.25, 0.5, 0.25])
+        assert n2 == norm_squared(out)
+
+    def test_detector_distribution_norm_is_the_born_sum(self):
+        # an unnormalized state: the probabilities are divided by the norm^2
+        # it returns, which is bit for bit the one norm_squared sums
+        st = apply_creation(vacuum(Statistics.BOSON), BASIS.mode("down", "L"))
+        st = apply_creation(st, BASIS.mode("down", "L"))
+        st = add(st, scale(apply_creation(vacuum(Statistics.BOSON), BASIS.mode("up", "R")), 0.3j))
+        st = apply_creation(st, BASIS.mode("up", "U"))
+        dist, n2 = detector_distribution(st)
+        assert n2 == norm_squared(st) == pytest.approx(2.09)
+        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-15)
 
     def test_probabilities_sum_to_one(self):
         st = vacuum(Statistics.FERMION)
@@ -342,14 +354,6 @@ class TestStateHelpers:
     def test_prune_drops_tiny_amplitudes(self):
         st = scale(vacuum(Statistics.BOSON), 1e-15)
         assert st.terms == {}
-
-    def test_particle_count(self):
-        st = apply_creation(vacuum(Statistics.FERMION), BASIS.mode("down", "R"))
-        assert particle_count(st) == 1
-        assert particle_count(scale(st, 0.0)) is None
-        mixed = add(st, vacuum(Statistics.FERMION))
-        with pytest.raises(ValueError):
-            particle_count(mixed)
 
 
 PICKLE_STEP = """

@@ -13,7 +13,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fockflow import cli
-from fockflow.algebra import Statistics, norm_squared, outcome_probability, scale, vacuum
+from fockflow.algebra import (
+    Statistics,
+    detector_distribution,
+    norm_squared,
+    outcome_probability,
+    scale,
+    vacuum,
+)
 from fockflow.analysis import completeness
 from fockflow.cdl import (
     LabelRef,
@@ -32,6 +39,7 @@ from fockflow.cdl import (
 )
 from fockflow.cdl.compiler import BOUND_STAGE_CAP
 from fockflow.experiments import (
+    TABLE_KINDS,
     PhaseSettings,
     hyper_hybrid_circuit,
     partition,
@@ -625,13 +633,28 @@ class TestGeneratedCircuits:
         if compiled is not None:
             state = execute(compiled)
             assert norm_squared(state) == pytest.approx(1.0, abs=1e-9)
-            assert completeness(state, compiled.basis) == pytest.approx(1.0, abs=1e-9)
+            probs = detector_distribution(state)[0]
+            assert completeness(probs) == pytest.approx(1.0, abs=1e-9)
 
         path = tmp_path_factory.getbasetemp() / "generated.cdl"
         path.write_text(source)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["table", str(path)])
-        assert code in (0, 2), err.getvalue()
+
+        def main(*argv):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([*argv])
+            return code, err.getvalue()
+
+        code, err = main("table", str(path))
+        assert code in (0, 2), err
         measured = {m.party for m in tree.measures} == {"A", "B"}
-        assert (code == 0) == (compiled is not None and measured), err.getvalue()
+        assert (code == 0) == (compiled is not None and measured), err
+
+        # every other command on the file ends in a documented exit code,
+        # with a message for each nonzero one
+        others = [("chsh",), ("sweep", "--steps", "1"), ("check",)]
+        others += [("table", "--kind", kind) for kind in TABLE_KINDS]
+        for command, *flags in others:
+            code, err = main(command, str(path), *flags)
+            assert code in (0, 2, 3), (command, flags, err)
+            assert code == 0 or err, (command, flags)

@@ -2,12 +2,13 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fockflow import cli
+from fockflow import algebra, cli
 from fockflow.algebra import StateVector
 from fockflow.cdl import compiler, execute
 from fockflow.cli import main, parse_phase
@@ -113,17 +114,19 @@ class TestTable:
         assert rec["table"]["row_labels"] == ["down", "up"]
         assert sum(rec["table"]["cells"]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("command", [["table"], ["chsh"], ["sweep", "--steps", "1"]])
+    @pytest.mark.parametrize("leak", [1.01, 0.0])  # 0.0 leaves the zero state
     @pytest.mark.parametrize("circuit", ["hh", str(EXAMPLES / "swap.cdl")])
-    def test_norm_drift_is_a_numeric_failure(self, capsys, monkeypatch, circuit):
+    def test_norm_drift_is_a_numeric_failure(self, capsys, monkeypatch, circuit, leak, command):
         execute = cli.execute
 
         def leaky(compiled, params=None):
             state = execute(compiled, params)
-            terms = {m: 1.01 * a for m, a in state.terms.items()}
+            terms = {m: leak * a for m, a in state.terms.items()}
             return StateVector(state.statistics, terms)
 
         monkeypatch.setattr(cli, "execute", leaky)
-        code, out, err = run(capsys, "table", circuit)
+        code, out, err = run(capsys, command[0], circuit, *command[1:])
         assert code == 3
         assert out == ""
         assert "norm" in err
@@ -208,6 +211,18 @@ class TestTolerance:
         rec = run_json(capsys, "table", "hh", "--tolerance", "1e-6")
         assert rec["metadata"]["tolerance"] == 1e-6
 
+    def test_zero_state_fails_at_any_tolerance(self, capsys, monkeypatch):
+        # |0 - 1| is within a tolerance of 2, but no probability can be read
+        execute = cli.execute
+
+        def vanishing(compiled, params=None):
+            return StateVector(execute(compiled, params).statistics, {})
+
+        monkeypatch.setattr(cli, "execute", vanishing)
+        code, out, err = run(capsys, "table", "hh", "--tolerance", "2")
+        assert (code, out) == (3, "")
+        assert "norm^2 = 0" in err
+
 
 class TestChsh:
     def test_fermion_default_quadruple(self, capsys):
@@ -225,6 +240,11 @@ class TestChsh:
     def test_distinguishable_stays_classical(self, capsys):
         rec = run_json(capsys, "chsh", "hh", "--stats", "distinguishable")
         assert rec["chsh"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_dials_and_search_exclude_each_other(self, capsys):
+        code, out, err = run(capsys, "chsh", "hh", "--search", "--dials", "0,0,0,0")
+        assert (code, out) == (2, "")
+        assert "not allowed with" in err
 
     def test_explicit_dials(self, capsys):
         rec = run_json(capsys, "chsh", "hh", "--dials", "0,pi,pi/4,-pi/4")
@@ -317,6 +337,41 @@ def _count_phase_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(compiler, "phase_shifter", counted)
     return builds
+
+
+def _count_readouts(monkeypatch) -> list:
+    """Log the name of each finished detector_distribution, norm_squared and compile_circuit call.
+
+    Each is patched in every loaded fockflow module that holds it.
+    """
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append(fn.__name__)
+            return result
+
+        return counted
+
+    for fn in (algebra.detector_distribution, algebra.norm_squared, compiler.compile_circuit):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fockflow" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [(["table", "hh"], 1), (["chsh", "hh"], 4), (["sweep", "hh", "--steps", "2"], 16)],
+    ids=["table", "chsh", "sweep"],
+)
+def test_one_readout_per_point(capsys, monkeypatch, argv, points):
+    calls = _count_readouts(monkeypatch)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    after_compile = calls[calls.index("compile_circuit") + 1 :]
+    assert after_compile == ["detector_distribution"] * points
 
 
 def test_sweep_builds_each_bound_stage_once(capsys, monkeypatch):
@@ -423,6 +478,11 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "sign map" in err
+
+    def test_json_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "hh", "--steps", "1", "--json")
+        assert (code, out) == (2, "")
+        assert "--json is not supported" in err
 
     def test_steps_past_the_cap_exit_before_any_run(self, capsys, monkeypatch):
         def no_run(*_):
