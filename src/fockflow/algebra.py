@@ -28,7 +28,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import groupby
 
 __all__ = [
     "Statistics",
@@ -83,12 +82,25 @@ class Mode:
     """One creation-operator slot: (species, internal label, external label).
 
     Species id 0 is reserved for indistinguishable particles; distinct
-    distinguishable particles carry ids >= 1 and never interfere.
+    distinguishable particles carry ids >= 1 and never interfere.  The hash
+    is the dataclass one, ``hash((species, internal, external))``, computed
+    once at construction, so keying a dict by a mode costs no ``Label``
+    hashes.
     """
 
     species: int
     internal: Label
     external: Label
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.species, self.internal, self.external)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuild, so the hash is taken in the loading process
+        return Mode, (self.species, self.internal, self.external)
 
     def order_key(self) -> tuple[int, int, int]:
         return (self.species, self.external.index, self.internal.index)
@@ -165,12 +177,24 @@ class ModeBasis:
     def monomial(self, ranks: tuple[int, ...]) -> "Monomial":
         """The monomial of a sorted tuple of basis indices; repeats become occupations.
 
-        Built once per ``ranks`` and then returned as the same object.
+        Built once per ``ranks``, in one pass that turns each run of equal
+        indices into a (mode, run length) entry, and then returned as the
+        same object.
         """
         mono = self._monomials.get(ranks)
         if mono is None:
-            entries = tuple((self.modes[r], len(list(run))) for r, run in groupby(ranks))
-            mono = self._monomials[ranks] = Monomial(entries)
+            modes, entries = self.modes, []
+            prev, occ = None, 0
+            for r in ranks:
+                if r == prev:
+                    occ += 1
+                else:
+                    if occ:
+                        entries.append((modes[prev], occ))
+                    prev, occ = r, 1
+            if occ:
+                entries.append((modes[prev], occ))
+            mono = self._monomials[ranks] = Monomial(tuple(entries))
         return mono
 
 
@@ -180,8 +204,9 @@ class Monomial:
 
     ``entries`` holds (mode, occupation) pairs with modes strictly
     increasing; occupations exceed one only for bosons.  The empty tuple is
-    the vacuum.  The hash is the dataclass one, ``hash((entries,))``; it
-    and the norm factor are computed once at construction.
+    the vacuum.  The hash is the dataclass one, ``hash((entries,))``, read
+    from each mode's cached hash; it and the norm factor prod n_k! (over
+    occupations above one) are computed once at construction.
     """
 
     entries: tuple[tuple[Mode, int], ...]
@@ -190,7 +215,10 @@ class Monomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.entries,)))
-        norm = math.prod(math.factorial(occ) for _, occ in self.entries)
+        norm = 1
+        for _, occ in self.entries:
+            if occ > 1:
+                norm *= math.factorial(occ)
         object.__setattr__(self, "_norm_factor", norm)
 
     def __hash__(self) -> int:
@@ -280,9 +308,15 @@ def create(basis: ModeBasis, statistics: Statistics, ranks) -> StateVector:
     Built by the same left insertion as ``substitute``, so fermions pick up
     the parity of the sorting permutation and a repeated fermionic rank
     gives the zero state.  Bosons sharing a mode keep the raw product, of
-    norm^2 prod n_k!.
+    norm^2 prod n_k!.  A rank that is not an int in ``range(len(basis))``
+    raises ``UnknownMode``, so a negative one cannot wrap to the last mode.
     """
-    terms = _left_multiply(1.0 + 0.0j, [((r, 1.0),) for r in ranks], statistics)
+    columns = []
+    for r in ranks:
+        if not (isinstance(r, int) and 0 <= r < len(basis)):
+            raise UnknownMode(f"rank {r!r} is not a mode index of this {len(basis)}-mode basis")
+        columns.append(((r, 1.0),))
+    terms = _left_multiply(1.0 + 0.0j, columns, statistics)
     return StateVector(statistics, {basis.monomial(k): w for k, w in terms.items()})
 
 

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockflow.algebra import (
+    Label,
     Mode,
     ModeBasis,
     Monomial,
@@ -19,6 +22,7 @@ from fockflow.algebra import (
     ZeroNorm,
     add,
     amplitude,
+    create,
     detector_distribution,
     norm_squared,
     outcome_probability,
@@ -27,7 +31,7 @@ from fockflow.algebra import (
     vacuum,
 )
 from fockflow.elements import ModeTransform, identity, hybrid_beam_splitter
-from reference import apply_creation, canonicalize, reference_substitute
+from reference import _grouped, apply_creation, canonicalize, reference_substitute
 
 BASIS = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U"))
 POLAR = ModeBasis(internals=("H", "V"), externals=("L", "D", "R", "U"))
@@ -97,6 +101,54 @@ class TestModeBasis:
             for block, sp in enumerate(sorted(species)):
                 mode = basis.mode(internal, external, species=sp)
                 assert basis.index_of(mode) == block * len(basis.slots) + slot
+
+
+SPECIES_SETS = [(0,), (1, 2), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("species", SPECIES_SETS)
+def test_mode_hash_is_the_dataclass_hash_and_fresh_modes_are_found(species):
+    basis = ModeBasis(internals=("h", "v"), externals=("L", "R", "U"), species=species)
+    for k, mode in enumerate(basis.modes):
+        assert hash(mode) == hash((mode.species, mode.internal, mode.external))
+        fresh = Mode(
+            mode.species,
+            Label(mode.internal.name, mode.internal.index),
+            Label(mode.external.name, mode.external.index),
+        )
+        assert fresh == mode and basis.index_of(fresh) == k
+
+
+@st.composite
+def basis_and_ranks(draw):
+    """A fresh 1-3-species basis and a sorted tuple of 0-6 of its indices, repeats allowed."""
+    species = draw(st.sampled_from(SPECIES_SETS))
+    basis = ModeBasis(internals=("h", "v"), externals=("L", "R"), species=species)
+    ranks = draw(st.lists(st.integers(0, len(basis) - 1), max_size=6))
+    return basis, tuple(sorted(ranks))
+
+
+class TestBasisMonomial:
+    @given(basis_and_ranks())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_reference_grouping(self, drawn):
+        basis, ranks = drawn
+        mono = basis.monomial(ranks)
+        assert mono == _grouped([basis.modes[k] for k in ranks])
+        assert hash(mono) == hash((mono.entries,))
+        runs = [len(list(run)) for _, run in itertools.groupby(ranks)]
+        assert mono.norm_factor() == math.prod(math.factorial(n) for n in runs)
+        assert basis.monomial(ranks) is mono
+
+
+class TestCreate:
+    @pytest.mark.parametrize("statistics", list(Statistics))
+    @pytest.mark.parametrize("bad", [-1, "len", 1.0])
+    def test_rank_outside_the_basis_rejected(self, statistics, bad):
+        basis = ModeBasis(internals=("h",), externals=("L", "R", "U"))
+        rank = len(basis) if bad == "len" else bad
+        with pytest.raises(UnknownMode, match=repr(rank)):
+            create(basis, statistics, [rank, 2])
 
 
 class TestCanonicalize:
@@ -360,18 +412,19 @@ PICKLE_STEP = """
 import pickle, sys
 from fockflow.algebra import ModeBasis, Statistics, create
 basis = ModeBasis(internals=("down", "up"), externals=("L", "R"))
-state = create(basis, Statistics.BOSON, [basis.index_of(basis.mode("up", "R"))])
+mode = basis.mode("up", "R")
+state = create(basis, Statistics.BOSON, [basis.index_of(mode)])
 if sys.argv[1] == "dump":
-    sys.stdout.buffer.write(pickle.dumps(state))
+    sys.stdout.buffer.write(pickle.dumps((state, mode)))
 else:
-    loaded = pickle.loads(sys.stdin.buffer.read())
+    loaded, loaded_mode = pickle.loads(sys.stdin.buffer.read())
     assert loaded.terms == state.terms
-    print(all(m in loaded.terms for m in state.terms))
+    print(all(m in loaded.terms for m in state.terms), basis.index_of(loaded_mode))
 """
 
 
 def test_unpickled_monomials_rehash_in_the_loading_process():
-    # Monomial caches its hash, and label names hash differently per process
+    # Mode and Monomial cache their hashes, and label names hash differently per process
     src = str(Path(__file__).resolve().parents[1] / "src")
 
     def step(seed, *argv, data=None):
@@ -379,4 +432,4 @@ def test_unpickled_monomials_rehash_in_the_loading_process():
         cmd = [sys.executable, "-c", PICKLE_STEP, *argv]
         return subprocess.run(cmd, env=env, input=data, capture_output=True, check=True).stdout
 
-    assert step("2", "load", data=step("1", "dump")) == b"True\n"
+    assert step("2", "load", data=step("1", "dump")) == b"True 3\n"

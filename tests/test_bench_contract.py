@@ -1,9 +1,11 @@
-"""What the benchmark's tracer reads of the program, checked in the test suite.
+"""What the benchmark reads of the program, checked in the test suite.
 
 ``bench/spans.py`` wraps fockflow functions by name and reads a few
-attributes of the engine's objects. A refactor that renames one of them
-breaks the traced benchmark run; these tests make it break here first.
-The harness file is loaded by path and only read.
+attributes of the engine's objects, and ``bench/workloads.py`` reads the
+many-particle states through ``Monomial`` and ``Mode`` attributes. A
+refactor that renames one of them breaks the benchmark run; these tests
+make it break here first. The harness files are loaded by path and only
+read.
 """
 
 import importlib
@@ -28,6 +30,26 @@ def spans():
     spec = importlib.util.spec_from_file_location("bench_spans_under_test", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports its sibling modules by bare name
+    bench = str(ROOT / "bench")
+    before = set(sys.modules)
+    sys.path.insert(0, bench)
+    try:
+        path = ROOT / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads_under_test", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses resolve annotations through it
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(bench)
+        for name in ("oracles", "spans"):
+            if name not in before:
+                sys.modules.pop(name, None)
     return module
 
 
@@ -59,3 +81,11 @@ def test_traced_table_records_substitute(spans, capsys):
     assert code == 0
     names = {span[0] for span in tracer.take()}
     assert {"cli.main", "algebra.substitute", "analysis.completeness"} <= names
+
+
+@pytest.mark.parametrize("stats", ["boson", "fermion"])
+def test_many_particle_run_reads_ok(workloads, stats):
+    workload = workloads.ManyParticle(ROOT, 1)
+    command = next(c for c in workload.commands() if c[:2] == (3, stats))
+    result = workload.run_op(command, None)
+    assert result.status == "ok", result.reason
