@@ -24,7 +24,6 @@ __all__ = [
     "MeasurementPartition",
     "CoincidenceTable",
     "ChshSettings",
-    "DetectorDistribution",
     "OverlappingPartitions",
     "ZeroCoincidenceMass",
     "DEFAULT_SIGNS",
@@ -110,22 +109,6 @@ class ChshSettings:
     phi_a1: float
     phi_b0: float
     phi_b1: float
-
-
-@dataclass(frozen=True)
-class DetectorDistribution:
-    probs: dict
-
-    def __post_init__(self) -> None:
-        for d, p in self.probs.items():
-            if p < -1e-15:
-                raise ValueError(f"negative probability {p} for detector {d}")
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"detector probabilities sum to {total}, not 1")
-
-    def mass(self, detectors) -> float:
-        return sum(self.probs.get(d, 0.0) for d in detectors)
 
 
 def coincidence_table(probs: dict, part_a: MeasurementPartition, part_b: MeasurementPartition):

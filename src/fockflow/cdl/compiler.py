@@ -35,13 +35,6 @@ from .parser import (
 
 BOUND_STAGE_CAP = 256  # bound `$name` stages kept per compiled circuit
 
-_STATISTICS = {
-    "boson": Statistics.BOSON,
-    "fermion": Statistics.FERMION,
-    "distinguishable": Statistics.DISTINGUISHABLE,
-}
-
-
 @dataclass(frozen=True)
 class CompiledCircuit:
     """A circuit ready to run; ``execute`` binds its `$name` phases.
@@ -87,7 +80,7 @@ def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
     comes from ``create``, whose left insertion is the reordering rule
     ``substitute`` applies to the final state too.
     """
-    stats = _STATISTICS[tree.statistics]
+    stats = Statistics(tree.statistics)
     internals = tuple(r.name for r in tree.internals)
     externals = tuple(r.name for r in tree.externals)
     if stats is Statistics.DISTINGUISHABLE:
@@ -144,9 +137,10 @@ def _bound_stage(compiled: CompiledCircuit, k: int, el: PhaseStmt, params: dict)
     key = (k, float(params.get(el.arg.param[1:], 0.0)))
     stage = compiled.bound.get(key)
     if stage is None:
+        stage = _compile_element(el, compiled.basis, params)  # a raise caches nothing
         if len(compiled.bound) >= BOUND_STAGE_CAP:
             compiled.bound.clear()
-        stage = compiled.bound[key] = _compile_element(el, compiled.basis, params)
+        compiled.bound[key] = stage
     return stage
 
 

@@ -67,7 +67,6 @@ from .cdl import (
 from .cdl.lexer import tokenize
 from .experiments import (
     RNG_ID,
-    CloneEnsemble,
     PhaseSettings,
     X_MINUS,
     X_PLUS,
@@ -498,17 +497,17 @@ def cmd_signal(args) -> int:
 def cmd_cascade(args) -> int:
     if not 1 <= args.dofs <= MAX_CASCADE_DOFS:
         raise _InputError(f"--dofs must be between 1 and {MAX_CASCADE_DOFS}")
-    dist = sorter_cascade(CloneEnsemble(args.dofs, _CLONE_STATES[args.state]))
+    dist = sorter_cascade(_CLONE_STATES[args.state], args.dofs)
     lines = [f"cascade dofs={args.dofs} state={args.state}"]
-    for det in sorted(dist.probs):
-        lines.append(f"D{det} {dist.probs[det]:.12f}")
+    for det, p in dist.items():
+        lines.append(f"D{det} {p:.12f}")
     record = _record(
         args,
         "cascade",
         values={
             "dofs": args.dofs,
             "state": args.state,
-            "distribution": {str(k): v for k, v in sorted(dist.probs.items())},
+            "distribution": {str(k): v for k, v in dist.items()},
         },
     )
     _emit(args, record, lines)

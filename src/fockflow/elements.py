@@ -19,6 +19,7 @@ Conventions frozen here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,8 +135,14 @@ def _external(basis: ModeBasis, name: str) -> str:
 
 
 def phase_shifter(basis: ModeBasis, port: str, phase: float) -> ModeTransform:
-    """e^{i phase} on every mode at the given external port, identity elsewhere."""
+    """e^{i phase} on every mode at the given external port, identity elsewhere.
+
+    A NaN or infinite phase raises ``ValueError``: its factor would be NaN,
+    and the state would lose those amplitudes without a word.
+    """
     _external(basis, port)
+    if not math.isfinite(phase):
+        raise ValueError(f"phase at port {port!r} must be finite, got {phase}")
     factor = np.exp(1j * phase)
     moves = {(il, port): [((il, port), factor)] for il in basis.internals}
     return _slot_element(basis, moves, f"phase {port} {phase:g}")

@@ -40,19 +40,13 @@ from .algebra import (
     norm_squared,
     substitute,
 )
-from .analysis import (
-    CoincidenceTable,
-    DetectorDistribution,
-    MeasurementPartition,
-    coincidence_table,
-)
+from .analysis import CoincidenceTable, MeasurementPartition, coincidence_table
 from .elements import beam_splitter, compose, hybrid_beam_splitter, phase_shifter
 
 __all__ = [
     "PhaseSettings",
     "CircuitRun",
     "QubitState",
-    "CloneEnsemble",
     "SPIN",
     "POLARIZATION",
     "PORTS",
@@ -264,14 +258,19 @@ def party_occupations(run: CircuitRun, party: str) -> CoincidenceTable:
 
 @dataclass(frozen=True)
 class QubitState:
-    """Single-qubit amplitudes in the computational (Z) basis."""
+    """Single-qubit amplitudes in the computational (Z) basis.
+
+    The cascade's one normalization check: norm^2 must lie within 1e-9 of
+    1, so a NaN amplitude is rejected too.  ``sorter_cascade`` checks no
+    sum of its own.
+    """
 
     amp0: complex
     amp1: complex
 
     def __post_init__(self) -> None:
         n = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # a NaN norm fails every comparison
             raise ValueError(f"qubit norm^2 = {n}, expected 1")
 
     def born(self) -> tuple[float, float]:
@@ -284,32 +283,25 @@ X_PLUS = QubitState(1 / math.sqrt(2), 1 / math.sqrt(2))
 X_MINUS = QubitState(1 / math.sqrt(2), -1 / math.sqrt(2))
 
 
-@dataclass(frozen=True)
-class CloneEnsemble:
-    """n_dofs identical copies of one qubit state, one per degree of freedom."""
+def sorter_cascade(state: QubitState, dofs: int) -> dict:
+    """{detector index: probability} after sorting each of ``dofs`` clones of ``state``.
 
-    n_dofs: int
-    per_dof_state: QubitState
-
-    def __post_init__(self) -> None:
-        if self.n_dofs < 1:
-            raise ValueError("need at least one degree of freedom")
-
-
-def sorter_cascade(clones: CloneEnsemble) -> DetectorDistribution:
-    """Detector distribution after sorting each degree of freedom in turn.
-
-    Detector index is 1 + the binary number spelled by the per-DOF readout
-    bits, first DOF most significant, so all-zeros lands in detector 1 and
-    all-ones in detector 2^n.
+    Each degree of freedom carries one copy of ``state``.  Detector index is
+    1 + the binary number spelled by the per-DOF readout bits, first DOF
+    most significant, so all-zeros lands in detector 1 and all-ones in
+    detector 2^dofs.  Detectors of probability 0 are left out, and keys
+    come in increasing order.  The values sum to the state's norm^2 to the
+    power ``dofs``, up to rounding; ``QubitState`` is the one check on it.
     """
-    p0, p1 = clones.per_dof_state.born()
+    if dofs < 1:
+        raise ValueError("need at least one degree of freedom")
+    p0, p1 = state.born()
     # each DOF appends the least significant bit, so every string's product
     # multiplies its Born weights in bit order, first DOF first
     probs = np.ones(1)
-    for _ in range(clones.n_dofs):
+    for _ in range(dofs):
         probs = np.outer(probs, (p0, p1)).ravel()
-    return DetectorDistribution({k + 1: p for k, p in enumerate(probs.tolist()) if p > 0.0})
+    return {k + 1: p for k, p in enumerate(probs.tolist()) if p > 0.0}
 
 
 def _one_of(dofs, copies):

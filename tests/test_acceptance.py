@@ -56,7 +56,6 @@ from fockflow.elements import (
     verify_unitary,
 )
 from fockflow.experiments import (
-    CloneEnsemble,
     PhaseSettings,
     X_MINUS,
     X_PLUS,
@@ -226,19 +225,19 @@ class TestSignalingDecode:
 @pytest.mark.criterion(6, "sorter cascade detector masses exact")
 class TestCascadeMasses:
     def test_two_clone_z_states_are_deterministic(self):
-        lowest = sorter_cascade(CloneEnsemble(2, Z_ZERO))
-        highest = sorter_cascade(CloneEnsemble(2, Z_ONE))
-        assert abs(lowest.probs.get(1, 0.0) - 1.0) < TOL_EXACT
-        assert abs(highest.probs.get(4, 0.0) - 1.0) < TOL_EXACT
-        assert abs(lowest.mass((1, 4)) - 1.0) < TOL_EXACT
-        assert abs(highest.mass((1, 4)) - 1.0) < TOL_EXACT
+        lowest = sorter_cascade(Z_ZERO, 2)
+        highest = sorter_cascade(Z_ONE, 2)
+        assert abs(lowest.get(1, 0.0) - 1.0) < TOL_EXACT
+        assert abs(highest.get(4, 0.0) - 1.0) < TOL_EXACT
+        assert abs(sum(lowest.get(d, 0.0) for d in (1, 4)) - 1.0) < TOL_EXACT
+        assert abs(sum(highest.get(d, 0.0) for d in (1, 4)) - 1.0) < TOL_EXACT
 
     @pytest.mark.parametrize("state", [X_PLUS, X_MINUS], ids=["plus", "minus"])
     def test_x_state_masses(self, state):
-        two = sorter_cascade(CloneEnsemble(2, state))
-        assert abs(two.mass((2, 3)) - 0.5) < TOL_EXACT
-        three = sorter_cascade(CloneEnsemble(3, state))
-        assert abs(three.mass((1, 8)) - 0.25) < TOL_EXACT
+        two = sorter_cascade(state, 2)
+        assert abs(sum(two.get(d, 0.0) for d in (2, 3)) - 0.5) < TOL_EXACT
+        three = sorter_cascade(state, 3)
+        assert abs(sum(three.get(d, 0.0) for d in (1, 8)) - 0.25) < TOL_EXACT
 
 
 @pytest.mark.criterion(7, "swap tables follow the quarter-angle law and one side factorizes")

@@ -20,7 +20,6 @@ from fockflow.algebra import (
 from fockflow.analysis import (
     ChshSettings,
     CoincidenceTable,
-    DetectorDistribution,
     MeasurementPartition,
     OverlappingPartitions,
     ZeroCoincidenceMass,
@@ -211,21 +210,6 @@ class TestFactorization:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             factorization_residual(np.zeros((2, 2)))
-
-
-class TestDetectorDistribution:
-    def test_mass(self):
-        d = DetectorDistribution({1: 0.25, 2: 0.25, 3: 0.5})
-        assert d.mass([1, 3]) == pytest.approx(0.75)
-        assert d.mass([7]) == 0.0
-
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            DetectorDistribution({1: 0.5})
-
-    def test_no_negative_probabilities(self):
-        with pytest.raises(ValueError):
-            DetectorDistribution({1: 1.5, 2: -0.5})
 
 
 class TestSweepAndEnumeration:

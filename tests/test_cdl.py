@@ -352,6 +352,18 @@ class TestCompiler:
             assert execute(compiled, params).terms == literal(params), params
             assert len(compiled.bound) <= BOUND_STAGE_CAP
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_phase_raises_and_caches_nothing(self, phase):
+        # the miss raises before the full cache is cleared or the value stored
+        compiled = compile_circuit(parse_source(read("hh_boson.cdl")))
+        for k in range(BOUND_STAGE_CAP - len(compiled.bound)):
+            execute(compiled, {"phiL": 0.001 * (k + 1)})
+        keys = list(compiled.bound)
+        assert len(keys) == BOUND_STAGE_CAP
+        with pytest.raises(ValueError, match="phase at port 'L' must be finite"):
+            execute(compiled, {"phiL": phase})
+        assert list(compiled.bound) == keys
+
     def test_runs_share_output_monomials(self):
         compiled = compile_circuit(parse_source(read("hh_boson.cdl")))
         first = execute(compiled, self.PARAMS)

@@ -73,6 +73,11 @@ class TestPhaseShifter:
         with pytest.raises(UnknownMode):
             phase_shifter(BASIS, "X", 1.0)
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase(self, phase):
+        with pytest.raises(ValueError, match=r"phase at port 'L' must be finite, got -?(nan|inf)"):
+            phase_shifter(BASIS, "L", phase)
+
 
 class TestSplitters:
     def test_bs_amplitudes(self):

@@ -16,7 +16,6 @@ from fockflow.analysis import (
 )
 from fockflow.experiments import (
     MAX_MC_DRAWS,
-    CloneEnsemble,
     PhaseSettings,
     QubitState,
     RNG_ID,
@@ -213,34 +212,49 @@ class TestClonesAndCascade:
     def test_qubit_state_normalization(self):
         with pytest.raises(ValueError):
             QubitState(1.0, 1.0)
+        with pytest.raises(ValueError):
+            QubitState(float("nan"), 0.0)
         assert X_PLUS.born() == pytest.approx((0.5, 0.5))
         assert Z_ONE.born() == pytest.approx((0.0, 1.0))
 
     def test_cascade_z_clones_hit_extreme_detectors(self):
-        d = sorter_cascade(CloneEnsemble(2, Z_ZERO))
-        assert d.probs[1] == pytest.approx(1.0)
-        d = sorter_cascade(CloneEnsemble(2, Z_ONE))
-        assert d.probs[4] == pytest.approx(1.0)
+        d = sorter_cascade(Z_ZERO, 2)
+        assert d[1] == pytest.approx(1.0)
+        d = sorter_cascade(Z_ONE, 2)
+        assert d[4] == pytest.approx(1.0)
 
     def test_cascade_x_two_dofs(self):
-        d = sorter_cascade(CloneEnsemble(2, X_PLUS))
-        assert d.mass([2, 3]) == pytest.approx(0.5, abs=1e-12)
+        d = sorter_cascade(X_PLUS, 2)
+        assert d.get(2, 0.0) + d.get(3, 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_cascade_x_three_dofs(self):
-        d = sorter_cascade(CloneEnsemble(3, X_MINUS))
-        assert d.mass([1, 8]) == pytest.approx(0.25, abs=1e-12)
+        d = sorter_cascade(X_MINUS, 3)
+        assert d.get(1, 0.0) + d.get(8, 0.0) == pytest.approx(0.25, abs=1e-12)
 
     def test_cascade_respects_first_dof_as_most_significant(self):
         # a biased state puts its weight where the binary expansion says
-        d = sorter_cascade(CloneEnsemble(2, QubitState(0.6, 0.8)))
-        assert d.probs[1] == pytest.approx(0.36 * 0.36, abs=1e-12)
-        assert d.probs[4] == pytest.approx(0.64 * 0.64, abs=1e-12)
-        assert sum(d.probs.values()) == pytest.approx(1.0, abs=1e-12)
+        d = sorter_cascade(QubitState(0.6, 0.8), 2)
+        assert d[1] == pytest.approx(0.36 * 0.36, abs=1e-12)
+        assert d[4] == pytest.approx(0.64 * 0.64, abs=1e-12)
+        assert sum(d.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_cascade_needs_a_degree_of_freedom(self):
+        with pytest.raises(ValueError, match="at least one degree of freedom"):
+            sorter_cascade(X_PLUS, 0)
 
     @pytest.mark.parametrize(
         "state",
-        [Z_ZERO, Z_ONE, X_PLUS, X_MINUS, QubitState(math.cos(0.3), math.sin(0.3)), QubitState(0.6, 0.8j)],
-        ids=["z0", "z1", "x+", "x-", "cos-sin-0.3", "0.6-0.8i"],
+        [
+            Z_ZERO,
+            Z_ONE,
+            X_PLUS,
+            X_MINUS,
+            QubitState(math.cos(0.3), math.sin(0.3)),
+            QubitState(0.6, 0.8j),
+            # norm^2 is 1 + 1.6e-11: inside QubitState's 1e-9, so the cascade takes it
+            QubitState(0.6, 0.80000000001),
+        ],
+        ids=["z0", "z1", "x+", "x-", "cos-sin-0.3", "0.6-0.8i", "0.6-0.80000000001"],
     )
     @pytest.mark.parametrize("dofs", [1, 2, 3, 5, 9])
     def test_cascade_is_the_bitwise_product(self, state, dofs):
@@ -252,7 +266,8 @@ class TestClonesAndCascade:
             p = math.prod(born[(b >> (dofs - 1 - k)) & 1] for k in range(dofs))
             if p > 0.0:
                 want[b + 1] = p
-        got = sorter_cascade(CloneEnsemble(dofs, state)).probs
+        got = sorter_cascade(state, dofs)
+        assert type(got) is dict
         assert list(got.items()) == list(want.items())
 
 

@@ -1,9 +1,10 @@
 """Golden CLI outputs for the bundled circuits.
 
-Every ``table``, ``chsh`` and ``sweep`` command below must print, byte for
-byte, the text or ``--json`` output stored under ``tests/golden/``. The
-same commands run on the bundled ``.cdl`` files must print the same bytes,
-apart from the circuit argument echoed in the text header.
+Every ``table``, ``chsh``, ``sweep`` and ``cascade`` command below must
+print, byte for byte, the text or ``--json`` output stored under
+``tests/golden/``. The circuit commands run on the bundled ``.cdl`` files
+must print the same bytes, apart from the circuit argument echoed in the
+text header.
 
 Regenerate the goldens, only when an output change is intended, with
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
@@ -39,6 +40,12 @@ def _commands():
 
 
 COMMANDS = _commands()
+CASCADES = [
+    ("cascade", "--dofs", str(dofs), "--state", state, *json)
+    for dofs in (2, 3, 5)
+    for state in ("z0", "x+", "x-")
+    for json in ((), ("--json",))
+]
 
 
 def golden_path(argv) -> Path:
@@ -68,7 +75,7 @@ def as_file_command(argv):
     return argv
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
+@pytest.mark.parametrize("argv", COMMANDS + CASCADES, ids=lambda argv: " ".join(argv))
 def test_named_circuit_output_is_unchanged(argv):
     assert run(argv) == golden_path(argv).read_text()
 
@@ -84,5 +91,5 @@ def test_bundled_file_prints_what_its_name_prints(argv):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for argv in COMMANDS:
+    for argv in COMMANDS + CASCADES:
         golden_path(argv).write_text(run(argv))

@@ -1,6 +1,12 @@
-"""Unused-import check over the package and its tests, with the standard library's ``ast``."""
+"""Import checks over the package and its tests.
+
+Every import is used or exported (read with the standard library's ``ast``),
+and every name a module exports in ``__all__`` exists once it is imported.
+"""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -8,6 +14,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fockflow"
 SOURCES = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = sorted(
+    ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts).removesuffix(".__init__")
+    for path in PACKAGE.rglob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +47,11 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def missing_exports(module) -> list[str]:
+    """Names in the module's ``__all__`` that it does not define."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
 def _source_id(path: Path) -> str:
     return str(path.relative_to(PACKAGE if path.is_relative_to(PACKAGE) else ROOT))
 
@@ -44,6 +59,18 @@ def _source_id(path: Path) -> str:
 @pytest.mark.parametrize("path", SOURCES, ids=_source_id)
 def test_every_import_is_used_or_exported(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    assert missing_exports(importlib.import_module(name)) == []
+
+
+def test_export_check_sees_a_stale_name():
+    module = types.ModuleType("stale")
+    module.kept = 1
+    module.__all__ = ["kept", "gone"]
+    assert missing_exports(module) == ["gone"]
 
 
 def test_check_sees_unused_and_exported_names():
