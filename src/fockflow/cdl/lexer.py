@@ -4,13 +4,16 @@ Source is plain UTF-8 text. ``#`` starts a comment running to end of line.
 Tokens carry 1-based line/column positions pointing at their first
 character. A single ``end`` token is appended after the last real token.
 
-One pattern, ``_TOKEN``, is matched at the current offset; its named group
-says what starts there: a run of blanks and comments, a ``$name``
-parameter, the punctuation ``->``, ``=`` or ``:``, the start of a number
-(a digit, ``.``, ``-`` or the whole word ``pi``), a word, or any other
-character. Only blank runs hold newlines, so the line count and the
-offset where the current line starts change there alone, and a token's
-column is its offset minus that line start, plus 1.
+One pattern, ``_TOKEN``, is matched once per token at the current
+offset. Its prefix skips the run of blanks and ``#`` comments before the
+token; its one optional named group then says what starts there: a
+``$name`` parameter, the punctuation ``->``, ``=`` or ``:``, the start of a
+number (a digit, ``.``, ``-`` or the whole word ``pi``), a word, or any
+other character. At the end of input the group is empty, and the ``end``
+token goes there. Only the skipped prefix holds newlines, so the line
+count and the offset where the current line starts move over that span
+alone (only ``\n`` starts a line), and a token's column is its offset
+minus that line start, plus 1.
 
 Numbers are constant expressions folded at lex time: a chain of terms
 joined by ``*`` or ``/``, each term an optionally negated decimal literal
@@ -32,12 +35,12 @@ KEYWORDS = frozenset(
 _WORD = r"[A-Za-z_][A-Za-z0-9_]*"
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TOKEN = re.compile(
-    r"(?P<blank>(?:\s|#[^\n]*)+)"
-    rf"|(?P<param>\$(?:{_WORD})?)"
+    r"(?:\s|#[^\n]*)*"
+    rf"(?:(?P<param>\$(?:{_WORD})?)"
     r"|(?P<punctuation>->|[=:])"
     r"|(?P<number>[\d.-]|pi(?![A-Za-z0-9_]))"
     rf"|(?P<word>{_WORD})"
-    r"|(?P<other>.)"
+    r"|(?P<other>.))?"
 )
 # a term of a constant: minus signs, then a decimal literal or a word
 _TERM = re.compile(rf"(-*)(?:({_FLOAT})|({_WORD}))?")
@@ -50,8 +53,10 @@ class LexError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
+    """A slotted record, neither frozen nor hashable; equality ignores ``value``."""
+
     kind: str  # keyword | identifier | number | punctuation | end
     text: str
     line: int
@@ -62,22 +67,27 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     out: list[Token] = []
     pos, line, line_start = 0, 1, 0
-    while pos < len(source):
+    while True:
         m = _TOKEN.match(source, pos)
-        kind, text, col = m.lastgroup, m.group(), pos - line_start + 1
-        if kind == "blank":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = pos + text.rindex("\n") + 1
-        elif kind == "param":
+        kind = m.lastgroup
+        start = m.start(kind) if kind else m.end()
+        newlines = source.count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", pos, start) + 1
+        col = start - line_start + 1
+        if kind is None:
+            break
+        text = m.group(kind)
+        if kind == "param":
             if text == "$":
                 raise LexError("'$' must introduce a parameter name", line, col)
             out.append(Token("identifier", text, line, col))
         elif kind == "punctuation":
             out.append(Token(kind, text, line, col))
         elif kind == "number":
-            value, end = _constant(source, pos, line, col)
-            out.append(Token(kind, source[pos:end], line, col, value=value))
+            value, end = _constant(source, start, line, col)
+            out.append(Token(kind, source[start:end], line, col, value=value))
             pos = end
             continue
         elif kind == "word":
@@ -87,7 +97,7 @@ def tokenize(source: str) -> list[Token]:
         else:
             raise LexError(f"illegal character {text!r}", line, col)
         pos = m.end()
-    out.append(Token("end", "", line, pos - line_start + 1))
+    out.append(Token("end", "", line, col))
     return out
 
 

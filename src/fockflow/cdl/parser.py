@@ -165,7 +165,10 @@ class _Parser:
         return self.advance()
 
     def label(self) -> LabelRef:
-        t = self.expect("identifier")
+        t = self.toks[self.i]
+        if t.kind != "identifier":
+            self.expect("identifier")
+        self.i += 1
         return LabelRef(t.text, t.line, t.col)
 
     def labels(self) -> tuple[LabelRef, ...]:

@@ -70,6 +70,10 @@ class BasisMismatch(ValueError):
 class ModeTransform:
     """A linear map on creation operators over a fixed mode basis.
 
+    ``matrix`` is a private, read-only copy of the array it is given, so
+    later writes to that array (or to the base of a view) reach neither it
+    nor its columns.
+
     ``column(m)`` holds the entries of column m above
     ``COLUMN_DROP_TOLERANCE`` as (row index, complex value) pairs, row
     indices ascending; substitution iterates these instead of scanning the
@@ -85,7 +89,7 @@ class ModeTransform:
 
     def __post_init__(self) -> None:
         n = len(self.basis)
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} does not match basis size {n}")
         mat.setflags(write=False)
@@ -113,7 +117,8 @@ def _slot_element(basis: ModeBasis, moves: dict, name: str) -> ModeTransform:
 
     ``moves`` maps an (internal, external) name pair to its (output pair,
     amplitude) images; slots it does not name pass through.  The slot
-    matrix over ``basis.slots`` fills every species block of the diagonal.
+    matrix over ``basis.slots`` fills every species block of the diagonal;
+    on a one-species basis it is the element itself.
     """
     slots = np.eye(len(basis.slots), dtype=complex)
     for source, images in moves.items():
@@ -122,6 +127,8 @@ def _slot_element(basis: ModeBasis, moves: dict, name: str) -> ModeTransform:
         for target, amp in images:
             slots[basis.slots[target], m] = amp
     n = len(slots)
+    if n == len(basis):
+        return ModeTransform(basis, slots, name)
     matrix = np.zeros((len(basis), len(basis)), dtype=complex)
     for b in range(0, len(basis), n):
         matrix[b : b + n, b : b + n] = slots

@@ -21,15 +21,23 @@ species-blind ``detector_distribution`` instead.
 ``reference_decode`` sums the signaling-decode probability exactly, with
 rational arithmetic, over every readout string (2^n of them), where
 ``experiments.signaling_decode_exact`` uses the closed form.
+
+``reference_tokenize`` matches a pattern twice per token, once for the
+token and once for the run of blanks and comments after it, and counts
+lines inside that run; ``cdl.tokenize`` skips the run as its one match's
+prefix.  The two share only ``Token``, ``LexError``, ``KEYWORDS`` and the
+constant folder ``_constant``.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 
 from fockflow.algebra import VACUUM, Mode, Monomial, StateVector, Statistics, norm_squared
 from fockflow.analysis import CoincidenceTable
+from fockflow.cdl.lexer import KEYWORDS, LexError, Token, _constant
 
 
 def canonicalize(ops, statistics: Statistics):
@@ -144,3 +152,45 @@ def reference_decode(dofs=None, copies=None) -> float:
     for _ in range(copies):
         all_agree *= per_copy_agree
     return float(1 - all_agree)
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<blank>(?:\s|#[^\n]*)+)"
+    r"|(?P<param>\$(?:[A-Za-z_][A-Za-z0-9_]*)?)"
+    r"|(?P<punctuation>->|[=:])"
+    r"|(?P<number>[\d.-]|pi(?![A-Za-z0-9_]))"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<other>.)"
+)
+
+
+def reference_tokenize(source: str) -> list[Token]:
+    out = []
+    pos, line, line_start = 0, 1, 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN.match(source, pos)
+        kind, text, col = m.lastgroup, m.group(), pos - line_start + 1
+        if kind == "blank":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rindex("\n") + 1
+        elif kind == "param":
+            if text == "$":
+                raise LexError("'$' must introduce a parameter name", line, col)
+            out.append(Token("identifier", text, line, col))
+        elif kind == "punctuation":
+            out.append(Token(kind, text, line, col))
+        elif kind == "number":
+            value, end = _constant(source, pos, line, col)
+            out.append(Token(kind, source[pos:end], line, col, value=value))
+            pos = end
+            continue
+        elif kind == "word":
+            out.append(Token("keyword" if text in KEYWORDS else "identifier", text, line, col))
+        elif text.isdigit():  # a digit that is not decimal, such as "²"
+            raise LexError("expected a number", line, col)
+        else:
+            raise LexError(f"illegal character {text!r}", line, col)
+        pos = m.end()
+    out.append(Token("end", "", line, pos - line_start + 1))
+    return out

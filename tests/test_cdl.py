@@ -45,7 +45,7 @@ from fockflow.experiments import (
     partition,
     swap_circuit,
 )
-from reference import apply_creation
+from reference import apply_creation, reference_tokenize
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ROOT / "src" / "fockflow" / "examples"
@@ -78,7 +78,70 @@ LEX_TOKENS = (
     ("2*-pi", -2 * math.pi),
     ("--1", 1.0),
 )
-LEX_BLANKS = (" ", "  ", "\t", "\n", "\r\n", "\n\n", " # note -> 1\n", "#\n", "\t\r\n ")
+LEX_BLANKS = (
+    " ",
+    "  ",
+    "\t",
+    "\n",
+    "\r\n",
+    "\n\n",
+    " # note -> 1\n",
+    "#\n",
+    "\t\r\n ",
+    # blanks that end no line: only "\n" does
+    "\r",
+    "\x0b",
+    "\x0c",
+    "\x1c",
+    "\x85",
+    "\u2028",
+    "\u3000",
+)
+# pieces of valid and invalid sources, compared against the reference tokenizer
+LEX_PIECES = (
+    *LEX_BLANKS,
+    "# note",
+    "#",
+    "$",
+    "$phi",
+    "$9",
+    "->",
+    "-->",
+    "-",
+    "--",
+    "=",
+    ":",
+    "*",
+    "/",
+    ".",
+    "0.5",
+    ".5",
+    "12",
+    "1e",
+    "1e-3",
+    "1e999",
+    "1e308*10",
+    "pi",
+    "pin",
+    "pi2",
+    "pi_",
+    "pi\u00e9",
+    "pi/0",
+    "pi/-0",
+    "2*-pi",
+    "-3*pi/2",
+    "phase",
+    "internal",
+    "bin",
+    "D",
+    "up_2",
+    "\u00b2",
+    "\u0663",
+    "\u2460",
+    "\U0001d7d9",
+    "\u00e9",
+    "^",
+)
 
 
 def read(name: str) -> str:
@@ -178,6 +241,17 @@ class TestLexer:
         toks = tokenize(source)
         got = [(line_starts[t.line - 1] + t.col - 1, t.text, t.value) for t in toks]
         assert got == [*expected, (len(source), "", None)]
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(LEX_PIECES), max_size=12).map("".join))
+    def test_matches_the_reference_tokenizer(self, source):
+        def scan(lex):
+            try:
+                return [(t.kind, t.text, t.line, t.col, repr(t.value)) for t in lex(source)]
+            except LexError as e:
+                return (str(e), e.line, e.col)
+
+        assert scan(tokenize) == scan(reference_tokenize)
 
 
 class TestParser:

@@ -322,3 +322,24 @@ class TestColumns:
         built = [t.column(k) for k in occupied]
         assert len(t.columns) == 16
         assert all(t.columns[k] is col for k, col in zip(occupied, built))
+
+
+class TestPrivateMatrix:
+    def test_a_writable_matrix_stays_writable_and_apart(self):
+        u = beam_splitter(BASIS, "L", "U").matrix.copy()
+        t = ModeTransform(BASIS, u)
+        before, col = t.matrix.copy(), t.column(0)
+        assert u.flags.writeable and not t.matrix.flags.writeable
+        u[:, 0] = 7.0
+        assert np.array_equal(t.matrix, before)
+        assert t.column(0) == col == ModeTransform(BASIS, before).column(0)
+
+    def test_changing_a_read_only_views_base_changes_nothing(self):
+        base = beam_splitter(BASIS, "L", "U").matrix.copy()
+        view = base[:]
+        view.setflags(write=False)
+        t = ModeTransform(BASIS, view)
+        before, col = t.matrix.copy(), t.column(0)
+        base[:, 0] = 7.0
+        assert np.array_equal(t.matrix, before)
+        assert t.column(0) == col == ModeTransform(BASIS, before).column(0)
