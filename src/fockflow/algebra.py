@@ -45,7 +45,6 @@ __all__ = [
     "amplitude",
     "norm_squared",
     "detector_distribution",
-    "outcome_probability",
     "add",
     "scale",
 ]
@@ -387,16 +386,6 @@ def detector_distribution(state: StateVector) -> tuple[dict, float]:
     if n2 <= 0.0:
         raise ZeroNorm("state has zero norm")
     return {p: weights[p] / n2 for p in sorted(weights)}, n2
-
-
-def outcome_probability(state: StateVector, outcome: Monomial) -> float:
-    """Probability that the detectors see the slots of ``outcome``.
-
-    Read from ``detector_distribution``, so species tags in ``outcome`` are
-    ignored: the probabilities of every species assignment matching its
-    (internal, external) pattern are summed.
-    """
-    return detector_distribution(state)[0].get(outcome.pattern, 0.0)
 
 
 def add(a: StateVector, b: StateVector) -> StateVector:

@@ -97,9 +97,6 @@ class CoincidenceTable:
     def total(self) -> float:
         return float(self.probs.sum())
 
-    def cell(self, row, col) -> float:
-        return float(self.probs[self.row_labels.index(row), self.col_labels.index(col)])
-
 
 @dataclass(frozen=True)
 class ChshSettings:

@@ -39,15 +39,13 @@ BOUND_STAGE_CAP = 256  # bound `$name` stages kept per compiled circuit
 class CompiledCircuit:
     """A circuit ready to run; ``execute`` binds its `$name` phases.
 
-    The derived fields, outside equality, hold what a binding leaves
-    unchanged.  ``first_param`` is the index of the first `$name` stage
-    (the stage count when there is none).  ``prefix`` is the product of the
-    stages before it, as a one-transform tuple, empty when there are none.
-    ``bound`` maps (stage index, phase value) to the `$name` stages built so
-    far; it starts with the stages compiled at 0.0 and is cleared whenever
-    it reaches ``BOUND_STAGE_CAP`` entries.  The values 0.0 and -0.0 share
-    an entry: their stages differ only in the sign of a zero imaginary
-    part, which no probability sees.
+    ``stages`` holds one transform per element statement, with each `$name`
+    phase compiled at 0.0.  ``bound``, outside equality, maps (stage index,
+    phase value) to the `$name` stages built so far; it starts with the
+    stages compiled at 0.0 and is cleared whenever it reaches
+    ``BOUND_STAGE_CAP`` entries.  The values 0.0 and -0.0 share an entry:
+    their stages differ only in the sign of a zero imaginary part, which no
+    probability sees.
     """
 
     tree: CircuitSpecTree
@@ -56,16 +54,10 @@ class CompiledCircuit:
     initial: StateVector
     stages: tuple[ModeTransform, ...]
     partitions: dict  # party -> MeasurementPartition
-    first_param: int = field(init=False, compare=False, repr=False)
-    prefix: tuple = field(init=False, compare=False, repr=False)
     bound: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         params = [k for k, el in enumerate(self.tree.elements) if _is_param(el)]
-        first = params[0] if params else len(self.stages)
-        prefix = (compose(self.stages[:first], self.basis),) if first else ()
-        object.__setattr__(self, "first_param", first)
-        object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "bound", {(k, 0.0): self.stages[k] for k in params})
 
 
@@ -113,19 +105,18 @@ def execute(compiled: CompiledCircuit, params: dict | None = None) -> StateVecto
     """Run the initial state through the composed element sequence.
 
     ``params`` binds `$name` phase parameters by bare name (no `$`);
-    unbound ones stay at 0.0. The run starts from ``compiled.prefix``, and
-    each `$name` stage is built once per value and then taken from
-    ``compiled.bound``, so one compiled circuit serves every phase setting.
+    unbound ones stay at 0.0. Every stage is composed in order; each `$name`
+    stage is built once per value and then taken from ``compiled.bound``,
+    so one compiled circuit serves every phase setting.
     """
     if not compiled.stages:
         return compiled.initial
     params = params or {}
-    stages = list(compiled.prefix)
-    for k in range(compiled.first_param, len(compiled.stages)):
-        el = compiled.tree.elements[k]
-        stages.append(_bound_stage(compiled, k, el, params) if _is_param(el) else compiled.stages[k])
-    total = compose(stages, basis=compiled.basis)
-    return substitute(compiled.initial, total)
+    stages = [
+        _bound_stage(compiled, k, el, params) if _is_param(el) else stage
+        for k, (el, stage) in enumerate(zip(compiled.tree.elements, compiled.stages))
+    ]
+    return substitute(compiled.initial, compose(stages))
 
 
 def _is_param(el) -> bool:

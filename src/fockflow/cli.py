@@ -67,6 +67,7 @@ from .cdl import (
 from .cdl.lexer import tokenize
 from .experiments import (
     RNG_ID,
+    TABLE_KINDS,
     PhaseSettings,
     X_MINUS,
     X_PLUS,
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     circuit.add_argument("--stats", choices=_STATS, help="must match the file's; picks the hh file")
     circuit.add_argument(
         "--kind",
-        choices=("path-path", "spin-spin", "spin-path", "path-spin"),
+        choices=TABLE_KINDS,
         help="which pair of degrees of freedom the parties read out",
     )
 

@@ -276,25 +276,21 @@ def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
     return _slot_element(basis, moves, "exchange")
 
 
-def compose(stages, basis: ModeBasis | None = None) -> ModeTransform:
-    """Product of the stages in application order (first stage acts first).
+def compose(stages) -> ModeTransform:
+    """Product of one or more stages in application order (first stage acts first).
 
-    Every stage must be over one basis: the first stage's, or ``basis`` when
-    given (which an empty stage list needs).  The product starts from the
-    first stage's matrix, and each later stage multiplies it on the left.
+    Every stage must be over the first stage's basis.  The product starts
+    from the first stage's matrix, and each later stage multiplies it on
+    the left.
     """
     stages = list(stages)
-    if basis is None:
-        if not stages:
-            raise ValueError("compose of no stages needs an explicit basis")
-        basis = stages[0].basis
-    total = None
-    for t in stages:
+    if not stages:
+        raise ValueError("compose needs at least one stage")
+    basis, total = stages[0].basis, stages[0].matrix
+    for t in stages[1:]:
         if t.basis is not basis and t.basis != basis:
             raise BasisMismatch(f"stage {t.name!r} is over {t.basis}, not {basis}")
-        total = t.matrix if total is None else t.matrix @ total
-    if total is None:
-        total = np.eye(len(basis), dtype=complex)
+        total = t.matrix @ total
     return ModeTransform(basis, total, "composed")
 
 

@@ -1,13 +1,19 @@
-"""Prebuilt end-to-end experiments.
+"""Prebuilt experiments: the hand-built reference circuits, the dials and the cascade.
 
-Two circuits are built here by hand.  The CLI runs them from the bundled
-files ``examples/hh_<stats>.cdl`` and ``examples/swap.cdl``; the stage
-lists below stay as the test gate's independent reference for what those
-files compile to.  The hyper-hybrid circuit sends two particles, one
-right-moving and one left-moving, each through a hybrid splitter whose
-reflected arm crosses to the other party; after per-port phase shifts the
-two rails on each side are mixed again with hybrid splitters and read out
-in coincidence.  The swap variant replaces Bob's splitters with plain
+The CLI reads ``PhaseSettings`` (the four standard phases), ``dial_settings``
+(the CHSH dial map) and ``TABLE_KINDS`` (the four readout kinds) from here.
+
+Two circuits are also built here by hand, and only the test gate runs them.
+The CLI runs the bundled files ``examples/hh_<stats>.cdl`` and
+``examples/swap.cdl`` instead; ``run_circuit`` stays as the gate's
+independent, state-level reference for what those files compile to, and
+the gate requires the same final state, bit for bit.  It reads nothing
+out: every table comes from a compiled file, through ``cdl.rebin`` and
+``analysis.coincidence_table``.  The hyper-hybrid circuit sends two
+particles, one right-moving and one left-moving, each through a hybrid
+splitter whose reflected arm crosses to the other party; after per-port
+phase shifts the two rails on each side are mixed again with hybrid
+splitters.  The swap variant replaces Bob's splitters with plain
 (internal-preserving) ones, which moves the internal/external entanglement
 of Alice's photon onto the pair.
 
@@ -31,16 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    ModeBasis,
-    StateVector,
-    Statistics,
-    create,
-    detector_distribution,
-    norm_squared,
-    substitute,
-)
-from .analysis import CoincidenceTable, MeasurementPartition, coincidence_table
+from .algebra import ModeBasis, StateVector, Statistics, create, norm_squared, substitute
 from .elements import beam_splitter, compose, hybrid_beam_splitter, phase_shifter
 
 __all__ = [
@@ -50,8 +47,6 @@ __all__ = [
     "SPIN",
     "POLARIZATION",
     "PORTS",
-    "ALICE_PORTS",
-    "BOB_PORTS",
     "TABLE_KINDS",
     "RNG_ID",
     "Z_ZERO",
@@ -60,14 +55,8 @@ __all__ = [
     "X_MINUS",
     "circuit_basis",
     "circuit_stages",
-    "hyper_hybrid_circuit",
-    "swap_circuit",
     "run_circuit",
-    "partition",
-    "run_table",
     "dial_settings",
-    "dial_runner",
-    "party_occupations",
     "sorter_cascade",
     "signaling_decode_exact",
     "signaling_decode_mc",
@@ -76,8 +65,6 @@ __all__ = [
 SPIN = ("down", "up")
 POLARIZATION = ("H", "V")
 PORTS = ("L", "D", "R", "U")
-ALICE_PORTS = ("D", "L")
-BOB_PORTS = ("R", "U")
 TABLE_KINDS = ("path-path", "spin-spin", "spin-path", "path-spin")
 
 RNG_ID = "numpy.default_rng/PCG64"
@@ -93,10 +80,6 @@ class PhaseSettings:
     phi_d: float = 0.0
     phi_r: float = 0.0
     phi_u: float = 0.0
-
-    def aggregate(self) -> float:
-        """The single angle all coincidence tables depend on."""
-        return (self.phi_d - self.phi_l - self.phi_r + self.phi_u) / 2.0
 
 
 @dataclass(frozen=True)
@@ -167,52 +150,6 @@ def run_circuit(name: str, statistics: Statistics, settings: PhaseSettings) -> C
     return CircuitRun(name, statistics, settings, basis, final)
 
 
-def hyper_hybrid_circuit(statistics: Statistics, settings: PhaseSettings) -> CircuitRun:
-    """Both particles enter spin-down; any of the three statistics."""
-    return run_circuit("hyperhybrid", statistics, settings)
-
-
-def swap_circuit(settings: PhaseSettings) -> CircuitRun:
-    """Two horizontally polarized photons; Bob's side uses plain splitters."""
-    return run_circuit("swap", Statistics.BOSON, settings)
-
-
-def partition(run: CircuitRun, party: str, kind: str) -> MeasurementPartition:
-    """A party's detector binning by path (external) or by spin (internal).
-
-    Bins are sets of (external index, internal index) slots at the party's ports.
-    """
-    if party not in ("A", "B"):
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    ports = ALICE_PORTS if party == "A" else BOB_PORTS
-    basis = run.basis
-    externals = {port: basis.externals.index(port) for port in ports}
-    internals = range(len(basis.internals))
-    if kind == "external":
-        bins = tuple((port, frozenset((e, i) for i in internals)) for port, e in externals.items())
-    elif kind == "internal":
-        bins = tuple(
-            (label, frozenset((e, i) for e in externals.values()))
-            for i, label in zip(internals, basis.internals)
-        )
-    else:
-        raise ValueError(f"kind must be 'internal' or 'external', got {kind!r}")
-    return MeasurementPartition(party, kind, bins)
-
-
-def run_table(run: CircuitRun, kind: str) -> CoincidenceTable:
-    """Coincidence table for one of the four measurement-kind combinations."""
-    if kind not in TABLE_KINDS:
-        raise ValueError(f"kind must be one of {TABLE_KINDS}, got {kind!r}")
-    kind_a, kind_b = kind.split("-")
-    names = {"path": "external", "spin": "internal"}
-    return coincidence_table(
-        detector_distribution(run.final_state)[0],
-        partition(run, "A", names[kind_a]),
-        partition(run, "B", names[kind_b]),
-    )
-
-
 def dial_settings(a: float, b: float) -> PhaseSettings:
     """Map two analyzer dials onto the four plate phases.
 
@@ -222,35 +159,6 @@ def dial_settings(a: float, b: float) -> PhaseSettings:
     standard dial quadruple (0, pi, pi/4, -pi/4).
     """
     return PhaseSettings(phi_l=0.0, phi_d=0.5 * a, phi_r=b, phi_u=0.0)
-
-
-def dial_runner(name: str, statistics: Statistics, kind: str):
-    """(dial a, dial b) -> coincidence table, for CHSH evaluation."""
-
-    def dialed(a: float, b: float) -> CoincidenceTable:
-        return run_table(run_circuit(name, statistics, dial_settings(a, b)), kind)
-
-    return dialed
-
-
-def party_occupations(run: CircuitRun, party: str) -> CoincidenceTable:
-    """Mean occupation of each (internal x port) mode on one party's side.
-
-    This is the diagonal of the single-particle reduced density matrix,
-    arranged as a 2x2 table; its factorization residual measures whether
-    the party's internal and external readouts are correlated.  Read from
-    ``detector_distribution``: each pattern adds its probability once per
-    slot it holds at the party's ports.
-    """
-    ports = ALICE_PORTS if party == "A" else BOB_PORTS
-    basis = run.basis
-    columns = {basis.externals.index(port): j for j, port in enumerate(ports)}
-    occ = np.zeros((len(basis.internals), len(ports)))
-    for pattern, p in detector_distribution(run.final_state)[0].items():
-        for e, i in pattern:
-            if e in columns:
-                occ[i, columns[e]] += p
-    return CoincidenceTable(tuple(basis.internals), tuple(ports), occ)
 
 
 # --- cloning, sorter cascades, and the signaling decoder ---
@@ -349,6 +257,8 @@ def signaling_decode_mc(
         raise ValueError(
             f"Monte Carlo needs {draws} int64 draws (trials x copies); the cap is {MAX_MC_DRAWS}"
         )
+    if seed < 0:  # default_rng's own message names neither the seed nor its value
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     if dofs is not None:
         n = _one_of(dofs, copies)

@@ -32,6 +32,7 @@ from fockflow.analysis import (
     chsh_grid_search,
     chsh_value,
     closed_form_table,
+    coincidence_table,
     completeness,
     correlation,
     factorization_residual,
@@ -40,8 +41,6 @@ from fockflow.cdl import (
     LexError,
     ParseError,
     SemanticError,
-    compile_circuit,
-    execute,
     parse_source,
     pretty_print,
     tokenize,
@@ -52,6 +51,7 @@ from fockflow.elements import (
     dof_sorter,
     exchange_wiring,
     hybrid_beam_splitter,
+    identity,
     phase_shifter,
     verify_unitary,
 )
@@ -61,16 +61,12 @@ from fockflow.experiments import (
     X_PLUS,
     Z_ONE,
     Z_ZERO,
-    dial_runner,
-    hyper_hybrid_circuit,
-    party_occupations,
     run_circuit,
-    run_table,
     signaling_decode_exact,
     signaling_decode_mc,
     sorter_cascade,
-    swap_circuit,
 )
+import circuits
 from reference import apply_creation, canonicalize, reference_decode, reference_substitute
 
 TOL_EXACT = 1e-12
@@ -135,7 +131,7 @@ class TestAmplitudeExpansion:
         worst = 0.0
         for s in random_quadruples(20, seed=101):
             oracle = self.expansion(s)
-            state = hyper_hybrid_circuit(Statistics.FERMION, s).final_state
+            state = circuits.final_state(circuits.compiled("hh_fermion"), s)
             seen = set()
             for mono, amp in state.terms.items():
                 # single occupancy throughout, so the stored coefficient
@@ -155,12 +151,14 @@ class TestTablesOnPhaseGrid:
         "stats", [Statistics.FERMION, Statistics.BOSON], ids=lambda s: s.name.lower()
     )
     def test_all_kinds_on_grid(self, stats):
+        circuit = circuits.compiled(f"hh_{stats.value}")
+        bins = {kind: circuits.parts(circuit, kind) for kind in KINDS}
         worst = 0.0
         for pl, pd, pr, pu in itertools.product(GRID_9, repeat=4):
             s = PhaseSettings(pl, pd, pr, pu)
-            run = run_circuit("hyperhybrid", stats, s)
+            probs = circuits.readout(circuit, s)
             for kind in KINDS:
-                got = run_table(run, kind).probs
+                got = coincidence_table(probs, *bins[kind]).probs
                 want = closed_form_table(kind, stats, s).probs
                 worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst < TOL_TABLE
@@ -169,12 +167,12 @@ class TestTablesOnPhaseGrid:
 @pytest.mark.criterion(3, "CHSH reaches 2*sqrt(2) for the fermion interferometer and the swap")
 class TestChshMaximum:
     def test_fermion_standard_quadruple(self):
-        runner = dial_runner("hyperhybrid", Statistics.FERMION, "path-path")
+        runner = circuits.runner("hh_fermion", "path-path")
         s = ChshSettings(0.0, math.pi, math.pi / 4.0, -math.pi / 4.0)
         assert abs(chsh_value(runner, s) - ROOT_EIGHT) < TOL_TABLE
 
     def test_swap_grid_search(self):
-        runner = dial_runner("swap", Statistics.BOSON, "spin-path")
+        runner = circuits.runner("swap", "spin-path")
         best, found = chsh_grid_search(runner, DIAL_GRID_16)
         assert abs(best - ROOT_EIGHT) < TOL_TABLE
         # and the found settings reproduce the value when replayed
@@ -184,12 +182,14 @@ class TestChshMaximum:
 @pytest.mark.criterion(4, "distinguishable particles: flat tables, zero correlation, CHSH within 2")
 class TestDistinguishableCollapse:
     def test_flat_cells_and_zero_correlation(self):
+        circuit = circuits.compiled("hh_distinguishable")
+        bins = {kind: circuits.parts(circuit, kind) for kind in KINDS}
         worst_cell = 0.0
         worst_e = 0.0
         for s in random_quadruples(20, seed=404):
-            run = run_circuit("hyperhybrid", Statistics.DISTINGUISHABLE, s)
+            probs = circuits.readout(circuit, s)
             for kind in KINDS:
-                table = run_table(run, kind)
+                table = coincidence_table(probs, *bins[kind])
                 worst_cell = max(worst_cell, float(np.max(np.abs(table.probs - 0.125))))
                 worst_e = max(worst_e, abs(correlation(table)))
         assert worst_cell < TOL_EXACT
@@ -197,7 +197,7 @@ class TestDistinguishableCollapse:
 
     @pytest.mark.parametrize("kind", ["path-path", "spin-spin"])
     def test_chsh_never_exceeds_classical_bound(self, kind):
-        runner = dial_runner("hyperhybrid", Statistics.DISTINGUISHABLE, kind)
+        runner = circuits.runner("hh_distinguishable", kind)
         best, _ = chsh_grid_search(runner, DIAL_GRID_16)
         assert best <= 2.0 + TOL_EXACT
 
@@ -243,19 +243,21 @@ class TestCascadeMasses:
 @pytest.mark.criterion(7, "swap tables follow the quarter-angle law and one side factorizes")
 class TestSwapOnPhaseGrid:
     def test_quarter_angle_law_and_factorization(self):
+        circuit = circuits.compiled("swap")
+        bins = circuits.parts(circuit, "spin-path")
         worst_cell = 0.0
         worst_residual = 0.0
         for pl, pd, pr, pu in itertools.product(GRID_9, repeat=4):
             s = PhaseSettings(pl, pd, pr, pu)
-            run = swap_circuit(s)
+            probs = circuits.readout(circuit, s)
             half = (pd - pl - pr + pu) / 2.0
             c2 = 0.25 * math.cos(half) ** 2
             s2 = 0.25 * math.sin(half) ** 2
             want = np.array([[c2, s2], [s2, c2]])
-            got = run_table(run, "spin-path").probs
+            got = coincidence_table(probs, *bins).probs
             worst_cell = max(worst_cell, float(np.max(np.abs(got - want))))
             worst_residual = max(
-                worst_residual, factorization_residual(party_occupations(run, "B"))
+                worst_residual, factorization_residual(circuits.occupations(circuit, probs, "B"))
             )
         assert worst_cell < TOL_TABLE
         assert worst_residual < TOL_TABLE
@@ -306,7 +308,7 @@ def transform_st(draw, basis=BASIS):
             t_down, t_up = draw(st.permutations(PORTS))[:2]
             routing = {"down": t_down, "up": t_up}
             stages.append(dof_sorter(basis, routing, port=draw(st.sampled_from(PORTS))))
-    return compose(stages, basis)
+    return compose(stages) if stages else identity(basis)
 
 
 @st.composite
@@ -424,8 +426,11 @@ class TestAlgebraProperties:
 
 @pytest.mark.criterion(9, "circuit files round-trip, compile to the hardcoded circuits, flag mutations")
 class TestCircuitLanguage:
-    PARAMS = {"phiL": 0.3, "phiD": 1.1, "phiR": 2.0, "phiU": 0.7}
-    SETTINGS = PhaseSettings(phi_l=0.3, phi_d=1.1, phi_r=2.0, phi_u=0.7)
+    # the {0, 0.9, -2pi/3}^4 grid and 20 seeded random points
+    POINTS = [
+        PhaseSettings(*values)
+        for values in itertools.product((0.0, 0.9, -2.0 * math.pi / 3.0), repeat=4)
+    ] + random_quadruples(20, seed=909)
 
     @staticmethod
     def bundled():
@@ -433,10 +438,13 @@ class TestCircuitLanguage:
         assert len(names) == 7, names
         return names
 
-    @staticmethod
-    def state_deviation(a, b):
-        keys = set(a.terms) | set(b.terms)
-        return max(abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) for k in keys)
+    def assert_compiles_to_reference(self, name, reference, stats):
+        circuit = circuits.compiled(name)
+        for s in self.POINTS:
+            got = circuits.final_state(circuit, s)
+            want = run_circuit(reference, stats, s).final_state
+            assert circuits.state_deviation(got, want) < TOL_EXACT, (name, s)
+            assert got.terms == want.terms, (name, s)  # bit for bit
 
     def test_round_trip_identity_on_all_bundled_sources(self):
         for name in self.bundled():
@@ -444,16 +452,11 @@ class TestCircuitLanguage:
             assert parse_source(pretty_print(tree)) == tree, name
 
     def test_compiled_interferometer_matches_hardcoded(self):
-        tree = parse_source((EXAMPLES / "hh_fermion.cdl").read_text())
-        got = execute(compile_circuit(tree), params=self.PARAMS)
-        want = hyper_hybrid_circuit(Statistics.FERMION, self.SETTINGS).final_state
-        assert self.state_deviation(got, want) < TOL_EXACT
+        for stats in Statistics:
+            self.assert_compiles_to_reference(f"hh_{stats.value}", "hyperhybrid", stats)
 
     def test_compiled_swap_matches_hardcoded(self):
-        tree = parse_source((EXAMPLES / "swap.cdl").read_text())
-        got = execute(compile_circuit(tree), params=self.PARAMS)
-        want = swap_circuit(self.SETTINGS).final_state
-        assert self.state_deviation(got, want) < TOL_EXACT
+        self.assert_compiles_to_reference("swap", "swap", Statistics.BOSON)
 
     def test_five_hundred_mutations_error_at_the_mutated_position(self):
         corpus = []

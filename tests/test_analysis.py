@@ -166,7 +166,7 @@ class TestCoincidenceTable:
         st = apply_creation(st, BASIS.mode("up", "U"))
         part_a, part_b = self.partitions()
         t = coincidence_table(detector_distribution(st)[0], part_a, part_b)
-        assert t.cell("D", "U") == pytest.approx(1.0)
+        assert t.probs[t.row_labels.index("D"), t.col_labels.index("U")] == pytest.approx(1.0)
         assert t.total() == pytest.approx(1.0)
 
     def test_overlapping_parties_rejected(self):

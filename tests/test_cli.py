@@ -114,6 +114,12 @@ class TestTable:
         assert rec["table"]["row_labels"] == ["down", "up"]
         assert sum(rec["table"]["cells"]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_unknown_kind_exits_2(self, capsys):
+        code, out, err = run(capsys, "table", "hh", "--kind", "path-charge")
+        assert code == 2
+        assert out == ""
+        assert "--kind" in err and "path-charge" in err
+
     @pytest.mark.parametrize("command", [["table"], ["chsh"], ["sweep", "--steps", "1"]])
     @pytest.mark.parametrize("leak", [1.01, 0.0])  # 0.0 leaves the zero state
     @pytest.mark.parametrize("circuit", ["hh", str(EXAMPLES / "swap.cdl")])
@@ -549,6 +555,12 @@ class TestSignal:
         assert code == 2
         assert out == ""
         assert "cap" in err
+
+    def test_mc_negative_seed_names_the_seed(self, capsys):
+        code, out, err = run(capsys, "signal", "--dofs", "2", "--mc", "10", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed" in err and "-1" in err
 
     def test_requires_exactly_one_variant(self, capsys):
         assert main(["signal"]) == 2

@@ -228,8 +228,6 @@ class TestCompose:
     def test_empty_compose_needs_basis(self):
         with pytest.raises(ValueError):
             compose([])
-        t = compose([], basis=BASIS)
-        assert np.allclose(t.matrix, np.eye(len(BASIS)))
 
     def test_single_stage_unchanged(self):
         t = hybrid_beam_splitter(BASIS, "R", "D")
@@ -260,8 +258,6 @@ class TestCompose:
         small = ModeBasis(internals=("down", "up"), externals=("L", "D"))
         with pytest.raises(BasisMismatch):
             compose([identity(BASIS), beam_splitter(small, "L", "D")])
-        with pytest.raises(BasisMismatch):
-            compose([beam_splitter(small, "L", "D")], basis=BASIS)
 
     def test_composition_of_unitaries_is_unitary(self):
         stages = [

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fockflow.algebra import Statistics, detector_distribution, norm_squared, outcome_probability
+from fockflow.algebra import Statistics, detector_distribution, norm_squared
 from fockflow.analysis import (
     chsh_value,
     ChshSettings,
@@ -14,6 +14,7 @@ from fockflow.analysis import (
     correlation,
     factorization_residual,
 )
+from fockflow.cdl import rebin
 from fockflow.experiments import (
     MAX_MC_DRAWS,
     PhaseSettings,
@@ -23,18 +24,13 @@ from fockflow.experiments import (
     X_PLUS,
     Z_ONE,
     Z_ZERO,
-    dial_runner,
     dial_settings,
-    hyper_hybrid_circuit,
-    partition,
-    party_occupations,
     run_circuit,
-    run_table,
     signaling_decode_exact,
     signaling_decode_mc,
     sorter_cascade,
-    swap_circuit,
 )
+from circuits import compiled, occupations, readout, runner, table
 from reference import canonicalize
 
 SETTINGS = PhaseSettings(phi_l=0.3, phi_d=1.1, phi_r=2.0, phi_u=0.7)
@@ -44,15 +40,15 @@ TABLE_KINDS = ("path-path", "spin-spin", "spin-path", "path-spin")
 class TestCircuitStates:
     def test_final_state_is_normalized(self):
         for stats in Statistics:
-            run = hyper_hybrid_circuit(stats, SETTINGS)
+            run = run_circuit("hyperhybrid", stats, SETTINGS)
             assert norm_squared(run.final_state) == pytest.approx(1.0, abs=1e-12)
 
     def test_term_counts(self):
         # expanding the product of two four-term brackets: fermion loses the
         # two doubly-occupied products and four more cancel pairwise
-        f = hyper_hybrid_circuit(Statistics.FERMION, SETTINGS)
-        b = hyper_hybrid_circuit(Statistics.BOSON, SETTINGS)
-        d = hyper_hybrid_circuit(Statistics.DISTINGUISHABLE, SETTINGS)
+        f = run_circuit("hyperhybrid", Statistics.FERMION, SETTINGS)
+        b = run_circuit("hyperhybrid", Statistics.BOSON, SETTINGS)
+        d = run_circuit("hyperhybrid", Statistics.DISTINGUISHABLE, SETTINGS)
         assert len(f.final_state.terms) == 6
         assert len(b.final_state.terms) == 8
         assert len(d.final_state.terms) == 16
@@ -60,19 +56,19 @@ class TestCircuitStates:
     def test_fermion_amplitude_closed_form(self):
         # the (up D)(up U) coefficient of the expanded product
         s = SETTINGS
-        run = hyper_hybrid_circuit(Statistics.FERMION, s)
+        run = run_circuit("hyperhybrid", Statistics.FERMION, s)
         expected = (
             np.exp(1j * (s.phi_r + s.phi_l)) - np.exp(1j * (s.phi_d + s.phi_u))
         ) / 4
         _, outcome = canonicalize(
             [run.basis.mode("up", "D"), run.basis.mode("up", "U")], Statistics.FERMION
         )
-        got = outcome_probability(run.final_state, outcome)
+        got = detector_distribution(run.final_state)[0].get(outcome.pattern, 0.0)
         assert got == pytest.approx(abs(expected) ** 2, abs=1e-12)
 
     def test_completeness(self):
         for stats in Statistics:
-            run = hyper_hybrid_circuit(stats, SETTINGS)
+            run = run_circuit("hyperhybrid", stats, SETTINGS)
             probs = detector_distribution(run.final_state)[0]
             assert completeness(probs) == pytest.approx(1.0, abs=1e-12)
 
@@ -89,38 +85,35 @@ class TestTablesAgainstClosedForm:
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     @pytest.mark.parametrize("stats", [Statistics.FERMION, Statistics.BOSON])
     def test_interferometer_matches_closed_form(self, stats, kind):
-        run = hyper_hybrid_circuit(stats, SETTINGS)
-        t = run_table(run, kind)
+        t = table(compiled(f"hh_{stats.value}"), kind, SETTINGS)
         ref = closed_form_table(kind, stats, SETTINGS)
         assert np.allclose(t.probs, ref.probs, atol=1e-12)
         assert t.row_labels == ref.row_labels and t.col_labels == ref.col_labels
 
     def test_fermion_path_table_at_zero(self):
-        run = hyper_hybrid_circuit(Statistics.FERMION, PhaseSettings())
-        t = run_table(run, "path-path")
+        t = table(compiled("hh_fermion"), "path-path", PhaseSettings())
         assert np.allclose(t.probs, [[0.25, 0.0], [0.0, 0.25]], atol=1e-12)
 
     def test_boson_path_table_at_zero(self):
-        run = hyper_hybrid_circuit(Statistics.BOSON, PhaseSettings())
-        t = run_table(run, "path-path")
+        t = table(compiled("hh_boson"), "path-path", PhaseSettings())
         assert np.allclose(t.probs, [[0.0, 0.25], [0.25, 0.0]], atol=1e-12)
 
     def test_coincidence_mass_is_half(self):
         for stats in (Statistics.FERMION, Statistics.BOSON):
-            t = run_table(hyper_hybrid_circuit(stats, SETTINGS), "path-path")
+            t = table(compiled(f"hh_{stats.value}"), "path-path", SETTINGS)
             assert t.total() == pytest.approx(0.5, abs=1e-12)
 
     def test_distinguishable_cells_flat(self):
-        run = hyper_hybrid_circuit(Statistics.DISTINGUISHABLE, SETTINGS)
         for kind in TABLE_KINDS:
-            t = run_table(run, kind)
+            t = table(compiled("hh_distinguishable"), kind, SETTINGS)
             assert np.allclose(t.probs, 0.125, atol=1e-12)
             assert correlation(t) == pytest.approx(0.0, abs=1e-12)
 
     def test_correlation_follows_cosine_of_aggregate(self):
         for s in (SETTINGS, PhaseSettings(phi_d=2.2), PhaseSettings(phi_u=0.4, phi_r=1.9)):
-            t = run_table(hyper_hybrid_circuit(Statistics.FERMION, s), "path-path")
-            assert correlation(t) == pytest.approx(math.cos(2 * s.aggregate()), abs=1e-12)
+            t = table(compiled("hh_fermion"), "path-path", s)
+            aggregate = (s.phi_d - s.phi_l - s.phi_r + s.phi_u) / 2.0
+            assert correlation(t) == pytest.approx(math.cos(2 * aggregate), abs=1e-12)
 
 
 class TestChshOnCircuits:
@@ -131,8 +124,7 @@ class TestChshOnCircuits:
         assert (s.phi_l, s.phi_d, s.phi_r, s.phi_u) == (0.0, 0.6, 0.5, 0.0)
 
     def test_dialed_correlation(self):
-        runner = dial_runner("hyperhybrid", Statistics.FERMION, "path-path")
-        t = runner(1.0, 0.25)
+        t = runner("hh_fermion", "path-path")(1.0, 0.25)
         assert correlation(t) == pytest.approx(math.cos(0.5 - 0.25), abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -144,18 +136,17 @@ class TestChshOnCircuits:
         ],
     )
     def test_tsirelson_at_standard_quadruple(self, name, stats, kind):
-        runner = dial_runner(name, stats, kind)
-        assert chsh_value(runner, self.QUAD) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        dialed = runner("swap" if name == "swap" else f"hh_{stats.value}", kind)
+        assert chsh_value(dialed, self.QUAD) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_distinguishable_never_exceeds_two(self):
-        runner = dial_runner("hyperhybrid", Statistics.DISTINGUISHABLE, "path-path")
-        assert chsh_value(runner, self.QUAD) == pytest.approx(0.0, abs=1e-12)
+        dialed = runner("hh_distinguishable", "path-path")
+        assert chsh_value(dialed, self.QUAD) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSwapCircuit:
     def test_table_is_boson_spin_path_pattern(self):
-        run = swap_circuit(SETTINGS)
-        t = run_table(run, "spin-path")
+        t = table(compiled("swap"), "spin-path", SETTINGS)
         ref = closed_form_table(
             "spin-path", Statistics.BOSON, SETTINGS, row_labels=("H", "V")
         )
@@ -163,49 +154,42 @@ class TestSwapCircuit:
         assert t.row_labels == ("H", "V")
 
     def test_flat_table_at_quarter_turn(self):
-        run = swap_circuit(PhaseSettings(phi_r=math.pi / 2))
-        t = run_table(run, "spin-path")
+        t = table(compiled("swap"), "spin-path", PhaseSettings(phi_r=math.pi / 2))
         assert np.allclose(t.probs, 0.125, atol=1e-12)
 
     def test_plain_splitter_side_factorizes(self):
-        run = swap_circuit(SETTINGS)
-        bob = party_occupations(run, "B")
+        swap = compiled("swap")
+        bob = occupations(swap, readout(swap, SETTINGS), "B")
         assert factorization_residual(bob) == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(bob.probs, [[0.5, 0.5], [0.0, 0.0]], atol=1e-12)
 
     def test_hybrid_side_stays_correlated(self):
-        run = swap_circuit(SETTINGS)
-        alice = party_occupations(run, "A")
+        swap = compiled("swap")
+        alice = occupations(swap, readout(swap, SETTINGS), "A")
         assert factorization_residual(alice) == pytest.approx(0.25, abs=1e-12)
         assert np.allclose(alice.probs, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
 
     def test_occupations_sum_to_one_particle_per_side(self):
-        run = hyper_hybrid_circuit(Statistics.FERMION, SETTINGS)
+        hh = compiled("hh_fermion")
+        probs = readout(hh, SETTINGS)
         for party in ("A", "B"):
-            assert party_occupations(run, party).probs.sum() == pytest.approx(1.0, abs=1e-12)
+            assert occupations(hh, probs, party).probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPartitions:
     def test_external_bins_are_ports(self):
-        run = hyper_hybrid_circuit(Statistics.FERMION, SETTINGS)
-        p = partition(run, "A", "external")
+        p = rebin(compiled("hh_fermion"), "A", "external")
         assert p.labels() == ("D", "L")
-        p = partition(run, "B", "external")
+        p = rebin(compiled("hh_fermion"), "B", "external")
         assert p.labels() == ("R", "U")
 
     def test_internal_bins_follow_basis_order(self):
-        run = swap_circuit(SETTINGS)
-        p = partition(run, "A", "internal")
+        p = rebin(compiled("swap"), "A", "internal")
         assert p.labels() == ("H", "V")
 
     def test_invalid_party_and_kind(self):
-        run = hyper_hybrid_circuit(Statistics.FERMION, SETTINGS)
         with pytest.raises(ValueError):
-            partition(run, "C", "external")
-        with pytest.raises(ValueError):
-            partition(run, "A", "sideways")
-        with pytest.raises(ValueError):
-            run_table(run, "path-charge")
+            rebin(compiled("hh_fermion"), "A", "sideways")
 
 
 class TestClonesAndCascade:
@@ -309,6 +293,11 @@ class TestSignaling:
             signaling_decode_mc(copies=5, trials=MAX_MC_DRAWS // 5 + 1, seed=7)
         with pytest.raises(ValueError, match="cap"):
             signaling_decode_mc(dofs=3, trials=MAX_MC_DRAWS + 1, seed=7)
+
+    def test_mc_rejects_a_negative_seed(self):
+        # numpy's own refusal names neither the seed nor its value
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            signaling_decode_mc(dofs=2, trials=10, seed=-1)
 
     def test_exactly_one_variant_required(self):
         with pytest.raises(ValueError):
