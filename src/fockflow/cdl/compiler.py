@@ -142,7 +142,11 @@ def rebin(compiled: CompiledCircuit, party: str, kind: str) -> MeasurementPartit
     appear in the party's measure statement; "internal" makes one bin per
     internal label, in declaration order.  A slot is an (external index,
     internal index) pair, so it is sorted into a bin by its index of ``kind``.
+    A party the file does not measure raises ``ValueError``.
     """
+    if party not in compiled.partitions:
+        measured = ", ".join(sorted(compiled.partitions)) or "no party"
+        raise ValueError(f"party {party!r} is not measured (the file measures {measured})")
     slots = compiled.partitions[party].slots
     basis = compiled.basis
     if kind == "external":

@@ -1,7 +1,7 @@
 """Unitary mode transforms for passive linear-optical elements.
 
-Every element is a square complex matrix over a declared mode basis, with
-matrix[n, m] the coefficient of output mode n for input mode m, so that a
+Every element is a square complex matrix over a mode basis's slots, with
+matrix[n, m] the coefficient of output slot n for input slot m, so that a
 creation operator rewrites as a_m^dag -> sum_n matrix[n, m] a_n^dag.
 
 Conventions frozen here:
@@ -11,9 +11,8 @@ Conventions frozen here:
   flips it (with the i) on reflection; it requires a two-element internal
   label set.
 - Elements act identically on every species: passive optics cannot address
-  particle identity.  Every element is built by ``_slot_element`` as one
-  species' slot matrix repeated down the block diagonal, so this holds by
-  construction.
+  particle identity.  An element is one slot matrix, and ``column`` places
+  it in every species block of the basis, so this holds by construction.
 - Sorters and exchange wirings are permutation matrices.
 """
 
@@ -70,16 +69,16 @@ class BasisMismatch(ValueError):
 class ModeTransform:
     """A linear map on creation operators over a fixed mode basis.
 
-    ``matrix`` is a private, read-only copy of the array it is given, so
-    later writes to that array (or to the base of a view) reach neither it
-    nor its columns.
+    ``matrix`` is a private, read-only copy of the square slot matrix it is
+    given, so later writes to that array (or to the base of a view) reach
+    neither it nor its columns.
 
-    ``column(m)`` holds the entries of column m above
-    ``COLUMN_DROP_TOLERANCE`` as (row index, complex value) pairs, row
-    indices ascending; substitution iterates these instead of scanning the
-    dense matrix.  Each column is built on first read and kept, so
-    ``substitute`` pays only for the columns its state occupies;
-    ``columns`` lists every column.
+    ``column(m)`` holds the entries of basis index m's slot column above
+    ``COLUMN_DROP_TOLERANCE`` as (row index, complex value) pairs, rows
+    shifted into m's species block and ascending; substitution iterates
+    these instead of scanning the dense matrix.  Each column is built on
+    first read and kept, so ``substitute`` pays only for the columns its
+    state occupies; ``columns`` lists every basis index's column.
     """
 
     basis: ModeBasis
@@ -88,19 +87,21 @@ class ModeTransform:
     _columns: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.basis)
+        n = len(self.basis.slots)
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (n, n):
-            raise ValueError(f"matrix shape {mat.shape} does not match basis size {n}")
+            raise ValueError(f"matrix shape {mat.shape} does not match the basis's {n} slots")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     def column(self, m: int) -> tuple:
         col = self._columns.get(m)
         if col is None:
-            entries = self.matrix[:, m]
+            slot = m % len(self.matrix)
+            entries = self.matrix[:, slot]
             keep = np.flatnonzero(np.abs(entries) > COLUMN_DROP_TOLERANCE)
-            col = self._columns[m] = tuple(zip(keep.tolist(), entries[keep].tolist()))
+            rows = [k + m - slot for k in keep.tolist()]
+            col = self._columns[m] = tuple(zip(rows, entries[keep].tolist()))
         return col
 
     @property
@@ -116,22 +117,15 @@ def _slot_element(basis: ModeBasis, moves: dict, name: str) -> ModeTransform:
     """The element sending each moved slot to its images, on every species alike.
 
     ``moves`` maps an (internal, external) name pair to its (output pair,
-    amplitude) images; slots it does not name pass through.  The slot
-    matrix over ``basis.slots`` fills every species block of the diagonal;
-    on a one-species basis it is the element itself.
+    amplitude) images; slots it does not name pass through.  The result is
+    the slot matrix over ``basis.slots``, whatever the species count.
     """
-    slots = np.eye(len(basis.slots), dtype=complex)
+    matrix = np.eye(len(basis.slots), dtype=complex)
     for source, images in moves.items():
         m = basis.slots[source]
-        slots[m, m] = 0.0
+        matrix[m, m] = 0.0
         for target, amp in images:
-            slots[basis.slots[target], m] = amp
-    n = len(slots)
-    if n == len(basis):
-        return ModeTransform(basis, slots, name)
-    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-    for b in range(0, len(basis), n):
-        matrix[b : b + n, b : b + n] = slots
+            matrix[basis.slots[target], m] = amp
     return ModeTransform(basis, matrix, name)
 
 
@@ -253,7 +247,7 @@ def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
     Targets that are not themselves relabeled are sent back to the head of
     their chain, so a one-way map like {D: DA} completes to the swap
     {D: DA, DA: D}; unmentioned ports stay fixed.  The result is the
-    permutation matrix moving (s, e) -> (s, complete[e]) for every species.
+    permutation matrix moving slot (s, e) -> (s, complete[e]), in every species.
     """
     for k, v in relabel.items():
         _external(basis, k)
@@ -299,4 +293,4 @@ def verify_unitary(t: ModeTransform, tol: float = 1e-12) -> bool:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     gram = t.matrix.conj().T @ t.matrix
-    return bool(np.max(np.abs(gram - np.eye(len(t.basis)))) < tol)
+    return bool(np.max(np.abs(gram - np.eye(len(gram)))) < tol)

@@ -12,6 +12,12 @@ operators' columns (m^N terms for N operators on m modes), and each product
 is re-ordered with ``canonicalize``.  It shares no code with
 ``algebra.substitute`` beyond the state types.
 
+``DenseTransform`` reads a full-basis matrix as a transform: the
+``basis``, ``column(k)`` and ``columns`` duck type that ``substitute``
+documents.  An ``elements.ModeTransform`` is one slot matrix acting alike
+on every species, so tests that feed ``substitute`` a species-mixing map
+use this instead.
+
 ``reference_coincidence_table`` tabulates term by term: a monomial of
 two operators lands in cell (i, j) when exactly one of its modes' slots
 lies in bin i of party A and one in bin j of party B, with Born weight
@@ -31,6 +37,7 @@ constant folder ``_constant``.
 
 import itertools
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +45,7 @@ import numpy as np
 from fockflow.algebra import VACUUM, Mode, Monomial, StateVector, Statistics, norm_squared
 from fockflow.analysis import CoincidenceTable
 from fockflow.cdl.lexer import KEYWORDS, LexError, Token, _constant
+from fockflow.elements import COLUMN_DROP_TOLERANCE
 
 
 def canonicalize(ops, statistics: Statistics):
@@ -94,6 +102,23 @@ def apply_creation(state: StateVector, mode: Mode) -> StateVector:
             continue
         out[new] = out.get(new, 0.0) + sign * amp
     return StateVector(state.statistics, out)
+
+
+@dataclass(frozen=True)
+class DenseTransform:
+    """A square matrix over every basis index; column k lists its nonzeros."""
+
+    basis: object
+    matrix: np.ndarray
+
+    def column(self, k: int) -> tuple:
+        entries = self.matrix[:, k]
+        keep = np.flatnonzero(np.abs(entries) > COLUMN_DROP_TOLERANCE)
+        return tuple(zip(keep.tolist(), entries[keep].tolist()))
+
+    @property
+    def columns(self) -> tuple:
+        return tuple(self.column(k) for k in range(len(self.basis)))
 
 
 def reference_substitute(state, transform):

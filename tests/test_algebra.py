@@ -30,7 +30,13 @@ from fockflow.algebra import (
     vacuum,
 )
 from fockflow.elements import ModeTransform, identity, hybrid_beam_splitter
-from reference import _grouped, apply_creation, canonicalize, reference_substitute
+from reference import (
+    DenseTransform,
+    _grouped,
+    apply_creation,
+    canonicalize,
+    reference_substitute,
+)
 
 BASIS = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U"))
 POLAR = ModeBasis(internals=("H", "V"), externals=("L", "D", "R", "U"))
@@ -298,7 +304,7 @@ class TestSubstitute:
     def test_non_ascending_species_stay_canonical(self, stats):
         # species declared out of order; the basis still enumerates by rank
         basis = ModeBasis(internals=("h", "v"), externals=("L", "R"), species=(2, 1))
-        t = ModeTransform(basis, random_unitary(len(basis), seed=11))
+        t = DenseTransform(basis, random_unitary(len(basis), seed=11))
         st = scale(vacuum(stats), 0.5)
         for modes in ([(2, "h", "L"), (1, "v", "R")], [(1, "h", "L"), (2, "v", "L"), (1, "h", "R")]):
             term = vacuum(stats)

@@ -58,16 +58,23 @@ def test_every_target_resolves_to_a_callable(spans):
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
-def test_substitute_counts_reads_an_hh_run(spans):
-    source = (ROOT / "src" / "fockflow" / "examples" / "hh_fermion.cdl").read_text()
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("hh_fermion", (2, "fermion", 16, 4)),
+        ("hh_boson", (2, "boson", 16, 6)),
+        ("hh_distinguishable", (2, "distinguishable", 16, 16)),
+        ("swap", (2, "boson", 16, 6)),
+    ],
+)
+def test_substitute_counts_reads_an_hh_run(spans, name, counts):
+    source = (ROOT / "src" / "fockflow" / "examples" / f"{name}.cdl").read_text()
     compiled = compile_circuit(parse_source(source))
     transform = compose(compiled.stages)
     result = substitute(compiled.initial, transform)
-    n, statistics, product_terms, terms_out = spans.substitute_counts(
-        (compiled.initial, transform), result
-    )
-    assert (n, statistics, terms_out) == (2, "fermion", len(result.terms))
-    assert product_terms >= terms_out > 0
+    got = spans.substitute_counts((compiled.initial, transform), result)
+    assert tuple(got) == counts
+    assert got[3] == len(result.terms)
 
 
 def test_traced_table_records_substitute(spans, capsys):

@@ -465,6 +465,17 @@ class TestCompiler:
             for kind in ("external", "internal"):
                 assert rebin(c, party, kind) == hardcoded_partition(name, party, kind)
 
+    @pytest.mark.parametrize(
+        "name, party, kind, measured",
+        [("hh_fermion.cdl", "C", "external", "A, B"), ("cascade2.cdl", "A", "internal", "no party")],
+    )
+    def test_rebin_rejects_a_party_the_file_does_not_measure(self, name, party, kind, measured):
+        c = compile_circuit(parse_source(read(name)))
+        want = f"party {party!r} is not measured (the file measures {measured})"
+        with pytest.raises(ValueError) as err:
+            rebin(c, party, kind)
+        assert str(err.value) == want
+
     def test_rebin_orders_ports_by_first_appearance_and_spins_by_declaration(self):
         src = MINIMAL.replace("external a b", "external a b c")
         c = compile_circuit(parse_source(src + "measure A external bin x = b bin y = up:c a\n"))

@@ -272,6 +272,9 @@ class TestCompose:
 
 
 TWO_SPECIES = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U"), species=(2, 1))
+THREE_SPECIES = ModeBasis(
+    internals=("down", "up"), externals=("L", "D", "R", "U"), species=(3, 1, 2)
+)
 ELEMENTS = {
     "phase": lambda b: phase_shifter(b, "D", 0.37),
     "bs": lambda b: beam_splitter(b, "L", "U", "R", "D"),
@@ -284,9 +287,25 @@ ELEMENTS = {
 class TestSpeciesBlind:
     @pytest.mark.parametrize("build", ELEMENTS.values(), ids=ELEMENTS.keys())
     def test_every_species_gets_the_one_species_matrix(self, build):
-        # declared out of order: the basis still lists species 1 before 2
-        want = np.kron(np.eye(2), build(BASIS).matrix)
-        assert np.array_equal(build(TWO_SPECIES).matrix, want)
+        # declared out of order: the basis still lists species by rank
+        one = build(BASIS).matrix
+        for basis in (TWO_SPECIES, THREE_SPECIES):
+            t = build(basis)
+            assert np.array_equal(t.matrix, one)
+            full = np.kron(np.eye(len(basis.species)), one)
+            for r in range(len(basis)):
+                rows = np.flatnonzero(np.abs(full[:, r]) > COLUMN_DROP_TOLERANCE).tolist()
+                assert t.column(r) == tuple((k, full[k, r]) for k in rows)
+
+    def test_a_full_basis_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="8 slots"):
+            ModeTransform(TWO_SPECIES, np.eye(len(TWO_SPECIES)))
+
+    def test_distinguishable_stages_are_slot_matrices(self):
+        source = (EXAMPLES / "hh_distinguishable.cdl").read_text()
+        compiled = compile_circuit(parse_source(source))
+        assert len(compiled.basis) == 16 and len(compiled.stages) == 8
+        assert all(t.matrix.shape == (8, 8) for t in compiled.stages)
 
 
 class TestColumns:
@@ -296,14 +315,17 @@ class TestColumns:
         mat[0, 1] = COLUMN_DROP_TOLERANCE  # at the tolerance: dropped
         mat[1, 0] = 2 * COLUMN_DROP_TOLERANCE  # above it: kept
         t = ModeTransform(TWO_SPECIES, mat)
-        assert len(t.columns) == len(TWO_SPECIES)
+        n = len(mat)
+        assert len(t.columns) == len(TWO_SPECIES) == 2 * n
         for m, column in enumerate(t.columns):
-            rows = [k for k in range(len(TWO_SPECIES)) if abs(mat[k, m]) > COLUMN_DROP_TOLERANCE]
-            assert [k for k, _ in column] == rows
+            shift, slot = m - m % n, m % n
+            rows = [k for k in range(n) if abs(mat[k, slot]) > COLUMN_DROP_TOLERANCE]
+            assert [k for k, _ in column] == [shift + k for k in rows]
             for k, v in column:
                 assert type(k) is int and type(v) is complex
-                assert v == mat[k, m]
-        assert (1, complex(2 * COLUMN_DROP_TOLERANCE)) in t.columns[0]
+                assert v == mat[k - shift, slot]
+        for block in (0, n):
+            assert (block + 1, complex(2 * COLUMN_DROP_TOLERANCE)) in t.columns[block]
 
     def test_substitute_builds_only_the_occupied_columns(self):
         source = (EXAMPLES / "hh_distinguishable.cdl").read_text()

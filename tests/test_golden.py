@@ -29,6 +29,11 @@ def _commands():
     base.append(("table", "swap"))
     for circuit in ("hh", "swap"):
         base += [("chsh", circuit), ("chsh", circuit, "--search")]
+    base += [
+        ("chsh", "hh", "--stats", s, *search)
+        for s in ("boson", "distinguishable")
+        for search in ((), ("--search",))
+    ]
     commands = base + [(*argv, "--json") for argv in base]
     commands += [
         ("sweep", "hh", "--stats", s, "--kind", k, "--steps", "2") for s in STATS for k in KINDS
