@@ -7,7 +7,7 @@ post-selected detection does.
 
 ``closed_form_table`` is a deliberately separate code path from the
 simulator: it evaluates the analytic cos^2/sin^2 patterns directly from the
-phase settings, sharing no matrix or state machinery, so agreement between
+phase point, sharing no matrix or state machinery, so agreement between
 the two is a genuine cross-check rather than a tautology.
 """
 
@@ -23,7 +23,6 @@ from .algebra import Statistics
 __all__ = [
     "MeasurementPartition",
     "CoincidenceTable",
-    "ChshSettings",
     "OverlappingPartitions",
     "ZeroCoincidenceMass",
     "DEFAULT_SIGNS",
@@ -98,16 +97,6 @@ class CoincidenceTable:
         return float(self.probs.sum())
 
 
-@dataclass(frozen=True)
-class ChshSettings:
-    """Two dial values per party."""
-
-    phi_a0: float
-    phi_a1: float
-    phi_b0: float
-    phi_b1: float
-
-
 def coincidence_table(probs: dict, part_a: MeasurementPartition, part_b: MeasurementPartition):
     """2x2 (or NxM) table of one-particle-per-party detection probabilities.
 
@@ -151,26 +140,22 @@ def correlation(table: CoincidenceTable) -> float:
     return num / total
 
 
-def chsh_value(runner, s: ChshSettings) -> float:
-    """|E(a0,b0) + E(a1,b0) + E(a0,b1) - E(a1,b1)| for a dial-pair runner."""
-    e = {
-        (a, b): correlation(runner(a, b))
-        for a in (s.phi_a0, s.phi_a1)
-        for b in (s.phi_b0, s.phi_b1)
-    }
-    return abs(
-        e[(s.phi_a0, s.phi_b0)]
-        + e[(s.phi_a1, s.phi_b0)]
-        + e[(s.phi_a0, s.phi_b1)]
-        - e[(s.phi_a1, s.phi_b1)]
-    )
+def chsh_value(runner, dials) -> float:
+    """|E(a0,b0) + E(a1,b0) + E(a0,b1) - E(a1,b1)| for a dial-pair runner.
+
+    ``dials`` is the quadruple (a0, a1, b0, b1).
+    """
+    a0, a1, b0, b1 = dials
+    e = {(a, b): correlation(runner(a, b)) for a in (a0, a1) for b in (b0, b1)}
+    return abs(e[(a0, b0)] + e[(a1, b0)] + e[(a0, b1)] - e[(a1, b1)])
 
 
 def chsh_grid_search(runner, dial_grid):
     """Maximize the CHSH combination over all dial quadruples from one grid.
 
-    Evaluates the correlation once per grid pair, then scans the quadruples
-    by broadcasting, so an n-point grid costs n^2 circuit runs, not n^4.
+    Returns (value, (a0, a1, b0, b1)).  Evaluates the correlation once per
+    grid pair, then scans the quadruples by broadcasting, so an n-point grid
+    costs n^2 circuit runs, not n^4.
     """
     dials = list(dial_grid)
     n = len(dials)
@@ -185,8 +170,7 @@ def chsh_grid_search(runner, dial_grid):
     )
     flat = np.abs(combo).argmax()
     i0, i1, j0, j1 = np.unravel_index(flat, combo.shape)
-    best = ChshSettings(dials[i0], dials[i1], dials[j0], dials[j1])
-    return float(np.abs(combo[i0, i1, j0, j1])), best
+    return float(np.abs(combo[i0, i1, j0, j1])), (dials[i0], dials[i1], dials[j0], dials[j1])
 
 
 _PATH_ROWS = ("D", "L")
@@ -194,21 +178,23 @@ _PATH_COLS = ("R", "U")
 _SPIN = ("down", "up")
 
 
-def closed_form_table(kind: str, statistics: Statistics, settings, row_labels=None, col_labels=None):
+def closed_form_table(kind: str, statistics: Statistics, phases, row_labels=None, col_labels=None):
     """Analytic coincidence table, the simulator's independent cross-check.
 
-    The analyzer angle is theta = (phi_D - phi_L)/2 - (phi_R - phi_U)/2 for
-    fermions, shifted by +pi/2 for bosons (the exchange-phase difference
-    between the two statistics).  Tables are the 1/4 cos^2 / sin^2 chequers
-    over that single angle.
+    ``phases`` is a phase point, the binding ``cdl.execute`` takes: a
+    missing name is 0.0.  The analyzer angle is theta = (phiD - phiL)/2 -
+    (phiR - phiU)/2 for fermions, shifted by +pi/2 for bosons (the
+    exchange-phase difference between the two statistics).  Tables are the
+    1/4 cos^2 / sin^2 chequers over that single angle.
     """
+    phi_l, phi_d, phi_r, phi_u = (phases.get(k, 0.0) for k in ("phiL", "phiD", "phiR", "phiU"))
     if statistics is Statistics.FERMION:
-        half_b = (settings.phi_r - settings.phi_u) / 2.0
+        half_b = (phi_r - phi_u) / 2.0
     elif statistics is Statistics.BOSON:
-        half_b = (settings.phi_r - settings.phi_u) / 2.0 - math.pi / 2.0
+        half_b = (phi_r - phi_u) / 2.0 - math.pi / 2.0
     else:
         raise ValueError("closed form exists only for boson or fermion statistics")
-    theta = (settings.phi_d - settings.phi_l) / 2.0 - half_b
+    theta = (phi_d - phi_l) / 2.0 - half_b
     c = 0.25 * math.cos(theta) ** 2
     s = 0.25 * math.sin(theta) ** 2
     chequer = {

@@ -93,7 +93,7 @@ def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
     stages = []
     for el in tree.elements:
         try:
-            stages.append(_compile_element(el, basis, {}))
+            stages.append(_compile_element(el, basis))
         except ValueError as e:  # a builder's complaint, placed at the statement
             at = getattr(el, "in_a", None) or getattr(el, "port", None) or el.routes[0].src
             raise SemanticError(str(e), at.line, at.col) from e
@@ -124,14 +124,14 @@ def _is_param(el) -> bool:
 
 
 def _bound_stage(compiled: CompiledCircuit, k: int, el: PhaseStmt, params: dict) -> ModeTransform:
-    """Stage ``k`` at its bound value, built on a cache miss by ``_compile_element``."""
-    key = (k, float(params.get(el.arg.param[1:], 0.0)))
-    stage = compiled.bound.get(key)
+    """Stage ``k`` at its bound value, built on a cache miss."""
+    value = float(params.get(el.arg.param[1:], 0.0))
+    stage = compiled.bound.get((k, value))
     if stage is None:
-        stage = _compile_element(el, compiled.basis, params)  # a raise caches nothing
+        stage = phase_shifter(compiled.basis, el.port.name, value)  # a raise caches nothing
         if len(compiled.bound) >= BOUND_STAGE_CAP:
             compiled.bound.clear()
-        compiled.bound[key] = stage
+        compiled.bound[k, value] = stage
     return stage
 
 
@@ -163,15 +163,13 @@ def rebin(compiled: CompiledCircuit, party: str, kind: str) -> MeasurementPartit
     return MeasurementPartition(party, kind, bins)
 
 
-def _compile_element(el, basis: ModeBasis, params: dict) -> ModeTransform:
+def _compile_element(el, basis: ModeBasis) -> ModeTransform:
+    """One element statement's transform; a `$name` phase compiles at 0.0."""
     if isinstance(el, SplitterStmt):
         build = hybrid_beam_splitter if el.kind == "hbs" else beam_splitter
         return build(basis, el.in_a.name, el.in_b.name, el.out_t.name, el.out_r.name)
     if isinstance(el, PhaseStmt):
-        if el.arg.param is not None:
-            value = float(params.get(el.arg.param[1:], 0.0))
-        else:
-            value = el.arg.value
+        value = 0.0 if el.arg.param is not None else el.arg.value
         return phase_shifter(basis, el.port.name, value)
     if isinstance(el, (SorterStmt, ExchangeStmt)):
         routing = {r.src.name: r.dst.name for r in el.routes}

@@ -34,11 +34,10 @@ PARTIES = ("A", "B")
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int, expected=()):
+    def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, col {col})")
         self.line = line
         self.col = col
-        self.expected = tuple(expected)
 
 
 class SemanticError(ValueError):
@@ -152,16 +151,16 @@ class _Parser:
             self.i += 1
         return t
 
-    def fail(self, message: str, expected=()):
+    def fail(self, message: str):
         t = self.peek()
-        raise ParseError(message, t.line, t.col, expected)
+        raise ParseError(message, t.line, t.col)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         t = self.peek()
         if t.kind != kind or (text is not None and t.text != text):
             want = text if text is not None else kind
             found = repr(t.text) if t.text else "end of input"
-            self.fail(f"expected {want}, found {found}", (kind,))
+            self.fail(f"expected {want}, found {found}")
         return self.advance()
 
     def label(self) -> LabelRef:
@@ -200,10 +199,7 @@ def parse(tokens: list[Token]) -> CircuitSpecTree:
     while p.peek().kind != "end":
         head = p.peek()
         if head.kind != "keyword" or head.text not in _STATEMENT_HEADS:
-            p.fail(
-                f"expected a statement keyword, found {head.text!r}",
-                ("keyword",),
-            )
+            p.fail(f"expected a statement keyword, found {head.text!r}")
         p.advance()
         if head.text in ("internal", "external"):
             decl = p.labels()
@@ -229,9 +225,18 @@ def parse(tokens: list[Token]) -> CircuitSpecTree:
         elif head.text == "particle":
             particles.append(ParticleDecl(p.label(), p.label()))
         elif head.text in ("hbs", "bs"):
-            elements.append(
-                SplitterStmt(head.text, p.label(), p.label(), p.label(), p.label())
-            )
+            ports = []
+            while len(ports) < 4:
+                t = p.peek()
+                if t.kind == "end" or (t.kind == "keyword" and t.text in _STATEMENT_HEADS):
+                    raise ParseError(
+                        f"{head.text} takes four ports, in_a in_b out_t out_r;"
+                        f" {len(ports)} given",
+                        head.line,
+                        head.col,
+                    )
+                ports.append(p.label())
+            elements.append(SplitterStmt(head.text, *ports))
         elif head.text == "phase":
             port = p.label()
             t = p.peek()
@@ -242,14 +247,14 @@ def parse(tokens: list[Token]) -> CircuitSpecTree:
                 p.advance()
                 arg = PhaseArg(param=t.text)
             else:
-                p.fail("expected a phase value or $parameter", ("number", "identifier"))
+                p.fail("expected a phase value or $parameter")
             elements.append(PhaseStmt(port, arg))
         elif head.text == "sorter":
             t = p.peek()
             if t.kind == "keyword" and t.text in ("internal", "external"):
                 p.advance()
             else:
-                p.fail("expected sorter selector internal or external", ("keyword",))
+                p.fail("expected sorter selector internal or external")
             if t.text == "internal":
                 elements.append(SorterStmt("internal", p.label(), p.routes()))
             else:
@@ -266,7 +271,7 @@ def parse(tokens: list[Token]) -> CircuitSpecTree:
             if k.kind == "keyword" and k.text in ("internal", "external"):
                 p.advance()
             else:
-                p.fail("expected measurement kind internal or external", ("keyword",))
+                p.fail("expected measurement kind internal or external")
             bins = [_parse_bin(p)]
             while p.peek().kind == "keyword" and p.peek().text == "bin":
                 bins.append(_parse_bin(p))

@@ -46,7 +46,6 @@ from . import __version__
 from .algebra import ZeroNorm, detector_distribution
 from .analysis import (
     DEFAULT_SIGNS,
-    ChshSettings,
     ZeroCoincidenceMass,
     chsh_grid_search,
     chsh_value,
@@ -66,9 +65,9 @@ from .cdl import (
 )
 from .cdl.lexer import tokenize
 from .experiments import (
+    PHASES,
     RNG_ID,
     TABLE_KINDS,
-    PhaseSettings,
     X_MINUS,
     X_PLUS,
     Z_ONE,
@@ -86,7 +85,6 @@ _KINDS = {"path": "external", "spin": "internal"}
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
 _STATS = ("boson", "distinguishable", "fermion")
 _CLONE_STATES = {"z0": Z_ZERO, "z1": Z_ONE, "x+": X_PLUS, "x-": X_MINUS}
-_PHASE_PARAMS = ("phiL", "phiD", "phiR", "phiU")
 
 
 class _InputError(Exception):
@@ -250,11 +248,6 @@ def _emit(args, record, human_lines):
             print(line)
 
 
-def _phases_dict(settings: PhaseSettings) -> dict:
-    phases = (settings.phi_l, settings.phi_d, settings.phi_r, settings.phi_u)
-    return dict(zip(_PHASE_PARAMS, phases))
-
-
 def _table_json(table) -> dict:
     return {
         "row_labels": list(table.row_labels),
@@ -293,13 +286,14 @@ def _circuit_path(args) -> str:
 def _runner(args, signed: bool = False):
     """Parse and compile the circuit once: (compiled, kind, (part A, part B), run).
 
-    ``run(settings)`` executes the compiled circuit with those phases and
-    any --param bound, reads its ``detector_distribution`` once, checks
-    the norm^2 that comes with it against --tolerance and returns
-    (detector probabilities, coincidence table); a zero state fails the
-    check too.  ``signed`` rejects bin labels outside the correlation sign
-    map.  ``--param`` may bind only a `$name` the file
-    declares, and not a standard phase, which each command binds itself.
+    ``run(phases)`` executes the compiled circuit at that phase point, a
+    binding keyed by ``PHASES``, with any --param bound too, reads its
+    ``detector_distribution`` once, checks the norm^2 that comes with it
+    against --tolerance and returns (detector probabilities, coincidence
+    table); a zero state fails the check too.  ``signed`` rejects bin
+    labels outside the correlation sign map.  ``--param`` may bind only a
+    `$name` the file declares, and not a standard phase, which each command
+    binds itself.
     """
     path = _circuit_path(args)
     tree = _read_tree(path)
@@ -309,10 +303,10 @@ def _runner(args, signed: bool = False):
             f" 'statistics {tree.statistics}'"
         )
     extra = dict(getattr(args, "param", None) or [])
-    bound = [name for name in extra if name in _PHASE_PARAMS]
+    bound = [name for name in extra if name in PHASES]
     if bound:
         raise _InputError(
-            f"--param {', '.join(bound)}: {', '.join(_PHASE_PARAMS)} are bound by"
+            f"--param {', '.join(bound)}: {', '.join(PHASES)} are bound by"
             " --phase-l/d/r/u on table and by the dials on chsh"
         )
     declared = {
@@ -341,8 +335,8 @@ def _runner(args, signed: bool = False):
         if missing:
             raise _InputError(f"{path}: bin labels {missing} are not in the sign map")
 
-    def run(settings: PhaseSettings):
-        state = execute(compiled, {**_phases_dict(settings), **extra})
+    def run(phases: dict):
+        state = execute(compiled, {**phases, **extra})
         try:
             probs, n2 = detector_distribution(state)
         except ZeroNorm:
@@ -367,10 +361,10 @@ def _format_table(table) -> list[str]:
 
 
 def cmd_table(args) -> int:
-    settings = PhaseSettings(args.phase_l, args.phase_d, args.phase_r, args.phase_u)
+    phases = dict(zip(PHASES, (args.phase_l, args.phase_d, args.phase_r, args.phase_u)))
     compiled, kind, _, run = _runner(args)
     stats_name = compiled.tree.statistics
-    probs, table = run(settings)
+    probs, table = run(phases)
     count = len(next(iter(probs)))  # every pattern lists one slot per particle
     if count != 2:
         print(
@@ -393,7 +387,7 @@ def cmd_table(args) -> int:
         args,
         "table",
         statistics=stats_name,
-        phases=_phases_dict(settings),
+        phases=phases,
         table=_table_json(table),
         e_value=e_value,
         values={"kind": kind},
@@ -413,17 +407,12 @@ def cmd_chsh(args) -> int:
 
     if args.search:
         grid = [k * math.pi / 8 for k in range(16)]
-        best, settings = chsh_grid_search(runner, grid)
+        best, dials = chsh_grid_search(runner, grid)
     else:
-        dials = args.dials if args.dials else (0.0, math.pi, math.pi / 4, -math.pi / 4)
-        settings = ChshSettings(*dials)
-        best = chsh_value(runner, settings)
-    pairs = [
-        ("E00", settings.phi_a0, settings.phi_b0),
-        ("E01", settings.phi_a0, settings.phi_b1),
-        ("E10", settings.phi_a1, settings.phi_b0),
-        ("E11", settings.phi_a1, settings.phi_b1),
-    ]
+        dials = args.dials or (0.0, math.pi, math.pi / 4, -math.pi / 4)
+        best = chsh_value(runner, dials)
+    a0, a1, b0, b1 = dials
+    pairs = [("E00", a0, b0), ("E01", a0, b1), ("E10", a1, b0), ("E11", a1, b1)]
     e_values = {}
     lines = [f"circuit {args.circuit}  statistics {stats_name}  kind {kind}"]
     for label, a, b in pairs:
@@ -438,7 +427,7 @@ def cmd_chsh(args) -> int:
         chsh=best,
         values={
             **e_values,
-            "dials": [settings.phi_a0, settings.phi_a1, settings.phi_b0, settings.phi_b1],
+            "dials": list(dials),
             "kind": kind,
             "searched": bool(args.search),
         },
@@ -459,9 +448,9 @@ def cmd_sweep(args) -> int:
         return "%.17g" % x
 
     cells = [f"p{i}{j}" for i in range(len(part_a.bins)) for j in range(len(part_b.bins))]
-    rows = [",".join(["phiL,phiD,phiR,phiU,kind", *cells, "E"])]
+    rows = [",".join([*PHASES, "kind", *cells, "E"])]
     for phases in itertools.product(values, repeat=4):  # every point runs before any is written
-        table = run(PhaseSettings(*phases))[1]
+        table = run(dict(zip(PHASES, phases)))[1]
         rows.append(
             ",".join(
                 [*map(fmt, phases), kind, *map(fmt, table.probs.ravel()), fmt(correlation(table))]

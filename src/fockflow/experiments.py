@@ -1,7 +1,9 @@
 """Prebuilt experiments: the hand-built reference circuits, the dials and the cascade.
 
-The CLI reads ``PhaseSettings`` (the four standard phases), ``dial_settings``
+The CLI reads ``PHASES`` (the four standard phase names), ``dial_settings``
 (the CHSH dial map) and ``TABLE_KINDS`` (the four readout kinds) from here.
+A phase point is the binding that ``cdl.execute`` takes, ``{name: radians}``
+keyed by ``PHASES``, and a name it leaves out is 0.0.
 
 Two circuits are also built here by hand, and only the test gate runs them.
 The CLI runs the bundled files ``examples/hh_<stats>.cdl`` and
@@ -41,12 +43,12 @@ from .algebra import ModeBasis, StateVector, Statistics, create, norm_squared, s
 from .elements import beam_splitter, compose, hybrid_beam_splitter, phase_shifter
 
 __all__ = [
-    "PhaseSettings",
     "CircuitRun",
     "QubitState",
     "SPIN",
     "POLARIZATION",
     "PORTS",
+    "PHASES",
     "TABLE_KINDS",
     "RNG_ID",
     "Z_ZERO",
@@ -65,6 +67,7 @@ __all__ = [
 SPIN = ("down", "up")
 POLARIZATION = ("H", "V")
 PORTS = ("L", "D", "R", "U")
+PHASES = ("phiL", "phiD", "phiR", "phiU")  # Alice dials D and L, Bob dials R and U
 TABLE_KINDS = ("path-path", "spin-spin", "spin-path", "path-spin")
 
 RNG_ID = "numpy.default_rng/PCG64"
@@ -73,20 +76,10 @@ MAX_MC_DRAWS = 10**7  # int64 readouts per Monte Carlo run: 80 MB per array
 
 
 @dataclass(frozen=True)
-class PhaseSettings:
-    """The four per-port phases; Alice dials D and L, Bob dials R and U."""
-
-    phi_l: float = 0.0
-    phi_d: float = 0.0
-    phi_r: float = 0.0
-    phi_u: float = 0.0
-
-
-@dataclass(frozen=True)
 class CircuitRun:
     name: str
     statistics: Statistics
-    settings: PhaseSettings
+    phases: dict
     basis: ModeBasis
     final_state: StateVector
 
@@ -101,11 +94,12 @@ def circuit_basis(statistics: Statistics, internals=SPIN) -> ModeBasis:
     return ModeBasis(internals=tuple(internals), externals=PORTS, species=species)
 
 
-def circuit_stages(name: str, basis: ModeBasis, settings: PhaseSettings):
+def circuit_stages(name: str, basis: ModeBasis, phases: dict):
     """The ordered element list of a named circuit.
 
     Stage 1 splits each input onto a kept arm and a cross-sent arm; the
-    phase plates sit between the two splitting layers; stage 2 remixes each
+    phase plates, bound from the phase point ``phases``, sit between the
+    two splitting layers; stage 2 remixes each
     party's two rails.  The swap circuit uses plain splitters on Bob's
     side (his photon keeps its internal label throughout).
     """
@@ -119,16 +113,8 @@ def circuit_stages(name: str, basis: ModeBasis, settings: PhaseSettings):
         bob_mix = beam_splitter(basis, "R", "U")
     else:
         raise ValueError(f"unknown circuit {name!r} (have: hyperhybrid, swap)")
-    return [
-        right_split,
-        left_split,
-        phase_shifter(basis, "L", settings.phi_l),
-        phase_shifter(basis, "D", settings.phi_d),
-        phase_shifter(basis, "R", settings.phi_r),
-        phase_shifter(basis, "U", settings.phi_u),
-        hybrid_beam_splitter(basis, "D", "L"),
-        bob_mix,
-    ]
+    plates = [phase_shifter(basis, port, phases.get(k, 0.0)) for port, k in zip(PORTS, PHASES)]
+    return [right_split, left_split, *plates, hybrid_beam_splitter(basis, "D", "L"), bob_mix]
 
 
 def _initial_pair(basis: ModeBasis, statistics: Statistics, internal: str) -> StateVector:
@@ -138,19 +124,19 @@ def _initial_pair(basis: ModeBasis, statistics: Statistics, internal: str) -> St
     return create(basis, statistics, [right, left])
 
 
-def run_circuit(name: str, statistics: Statistics, settings: PhaseSettings) -> CircuitRun:
+def run_circuit(name: str, statistics: Statistics, phases: dict) -> CircuitRun:
     internals = POLARIZATION if name == "swap" else SPIN
     start_label = "H" if name == "swap" else "down"
     if name == "swap" and statistics is not Statistics.BOSON:
         raise ValueError("the swap circuit is defined for boson statistics")
     basis = circuit_basis(statistics, internals)
     initial = _initial_pair(basis, statistics, start_label)
-    transform = compose(circuit_stages(name, basis, settings))
+    transform = compose(circuit_stages(name, basis, phases))
     final = substitute(initial, transform)
-    return CircuitRun(name, statistics, settings, basis, final)
+    return CircuitRun(name, statistics, phases, basis, final)
 
 
-def dial_settings(a: float, b: float) -> PhaseSettings:
+def dial_settings(a: float, b: float) -> dict:
     """Map two analyzer dials onto the four plate phases.
 
     Alice's dial turns phi_D by a/2 (her analyzer angle is half her dial,
@@ -158,7 +144,7 @@ def dial_settings(a: float, b: float) -> PhaseSettings:
     then traces cos(a/2 - b), which reaches the CHSH maximum at the
     standard dial quadruple (0, pi, pi/4, -pi/4).
     """
-    return PhaseSettings(phi_l=0.0, phi_d=0.5 * a, phi_r=b, phi_u=0.0)
+    return dict(zip(PHASES, (0.0, 0.5 * a, b, 0.0)))
 
 
 # --- cloning, sorter cascades, and the signaling decoder ---

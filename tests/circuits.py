@@ -1,7 +1,8 @@
 """The bundled circuit files, read out the way the command line reads them.
 
 Each file is parsed and compiled once, and every table comes from the
-steps ``cli._runner`` takes: ``execute`` at the four standard phases,
+steps ``cli._runner`` takes: ``execute`` at a phase point (the
+``{name: radians}`` binding keyed by ``experiments.PHASES``),
 ``detector_distribution``, and ``coincidence_table`` over the parties'
 ``rebin`` parts.  Tests import this module by bare name, as they import
 ``reference``.
@@ -15,7 +16,7 @@ import numpy as np
 from fockflow.algebra import detector_distribution
 from fockflow.analysis import CoincidenceTable, coincidence_table
 from fockflow.cdl import compile_circuit, execute, parse_source, rebin
-from fockflow.experiments import PhaseSettings, dial_settings
+from fockflow.experiments import dial_settings
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "fockflow" / "examples"
 _KINDS = {"path": "external", "spin": "internal"}
@@ -27,20 +28,9 @@ def compiled(name: str):
     return compile_circuit(parse_source((EXAMPLES / f"{name}.cdl").read_text()))
 
 
-def final_state(circuit, settings: PhaseSettings):
-    """``execute`` with the four standard phases bound, as the CLI binds them."""
-    params = {
-        "phiL": settings.phi_l,
-        "phiD": settings.phi_d,
-        "phiR": settings.phi_r,
-        "phiU": settings.phi_u,
-    }
-    return execute(circuit, params)
-
-
-def readout(circuit, settings: PhaseSettings) -> dict:
+def readout(circuit, phases: dict) -> dict:
     """The detector probabilities at one phase point."""
-    return detector_distribution(final_state(circuit, settings))[0]
+    return detector_distribution(execute(circuit, phases))[0]
 
 
 def parts(circuit, kind: str) -> tuple:
@@ -48,8 +38,8 @@ def parts(circuit, kind: str) -> tuple:
     return tuple(rebin(circuit, party, _KINDS[word]) for party, word in zip("AB", kind.split("-")))
 
 
-def table(circuit, kind: str, settings: PhaseSettings) -> CoincidenceTable:
-    return coincidence_table(readout(circuit, settings), *parts(circuit, kind))
+def table(circuit, kind: str, phases: dict) -> CoincidenceTable:
+    return coincidence_table(readout(circuit, phases), *parts(circuit, kind))
 
 
 def runner(name: str, kind: str):

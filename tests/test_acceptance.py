@@ -28,7 +28,6 @@ from fockflow.algebra import (
     vacuum,
 )
 from fockflow.analysis import (
-    ChshSettings,
     chsh_grid_search,
     chsh_value,
     closed_form_table,
@@ -41,6 +40,7 @@ from fockflow.cdl import (
     LexError,
     ParseError,
     SemanticError,
+    execute,
     parse_source,
     pretty_print,
     tokenize,
@@ -56,7 +56,7 @@ from fockflow.elements import (
     verify_unitary,
 )
 from fockflow.experiments import (
-    PhaseSettings,
+    PHASES,
     X_MINUS,
     X_PLUS,
     Z_ONE,
@@ -80,7 +80,7 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "fockflow" / "examples"
 
 def random_quadruples(count: int, seed: int):
     rng = np.random.default_rng(seed)
-    return [PhaseSettings(*rng.uniform(0.0, 2.0 * math.pi, 4)) for _ in range(count)]
+    return [dict(zip(PHASES, rng.uniform(0.0, 2.0 * math.pi, 4))) for _ in range(count)]
 
 
 @pytest.mark.criterion(1, "fermion interferometer amplitudes match the operator-product expansion")
@@ -94,15 +94,15 @@ class TestAmplitudeExpansion:
         return (cls.EXT[flavor[1]], cls.INT[flavor[0]])
 
     @classmethod
-    def expansion(cls, s: PhaseSettings) -> dict:
+    def expansion(cls, s: dict) -> dict:
         """Expand the two evolved creation operators by hand.
 
         Each input operator becomes a four-term bracket (transmit, reflect
         with flip, then the second splitter layer and phase plates folded
         in); the product is anticommuted into canonical order term by term.
         """
-        e_r, e_d = cmath.exp(1j * s.phi_r), cmath.exp(1j * s.phi_d)
-        e_l, e_u = cmath.exp(1j * s.phi_l), cmath.exp(1j * s.phi_u)
+        e_r, e_d = cmath.exp(1j * s["phiR"]), cmath.exp(1j * s["phiD"])
+        e_l, e_u = cmath.exp(1j * s["phiL"]), cmath.exp(1j * s["phiU"])
         right = [
             (("down", "R"), e_r),
             (("up", "U"), 1j * e_r),
@@ -131,7 +131,7 @@ class TestAmplitudeExpansion:
         worst = 0.0
         for s in random_quadruples(20, seed=101):
             oracle = self.expansion(s)
-            state = circuits.final_state(circuits.compiled("hh_fermion"), s)
+            state = execute(circuits.compiled("hh_fermion"), s)
             seen = set()
             for mono, amp in state.terms.items():
                 # single occupancy throughout, so the stored coefficient
@@ -154,8 +154,8 @@ class TestTablesOnPhaseGrid:
         circuit = circuits.compiled(f"hh_{stats.value}")
         bins = {kind: circuits.parts(circuit, kind) for kind in KINDS}
         worst = 0.0
-        for pl, pd, pr, pu in itertools.product(GRID_9, repeat=4):
-            s = PhaseSettings(pl, pd, pr, pu)
+        for point in itertools.product(GRID_9, repeat=4):
+            s = dict(zip(PHASES, point))
             probs = circuits.readout(circuit, s)
             for kind in KINDS:
                 got = coincidence_table(probs, *bins[kind]).probs
@@ -168,8 +168,8 @@ class TestTablesOnPhaseGrid:
 class TestChshMaximum:
     def test_fermion_standard_quadruple(self):
         runner = circuits.runner("hh_fermion", "path-path")
-        s = ChshSettings(0.0, math.pi, math.pi / 4.0, -math.pi / 4.0)
-        assert abs(chsh_value(runner, s) - ROOT_EIGHT) < TOL_TABLE
+        dials = (0.0, math.pi, math.pi / 4.0, -math.pi / 4.0)
+        assert abs(chsh_value(runner, dials) - ROOT_EIGHT) < TOL_TABLE
 
     def test_swap_grid_search(self):
         runner = circuits.runner("swap", "spin-path")
@@ -248,8 +248,7 @@ class TestSwapOnPhaseGrid:
         worst_cell = 0.0
         worst_residual = 0.0
         for pl, pd, pr, pu in itertools.product(GRID_9, repeat=4):
-            s = PhaseSettings(pl, pd, pr, pu)
-            probs = circuits.readout(circuit, s)
+            probs = circuits.readout(circuit, dict(zip(PHASES, (pl, pd, pr, pu))))
             half = (pd - pl - pr + pu) / 2.0
             c2 = 0.25 * math.cos(half) ** 2
             s2 = 0.25 * math.sin(half) ** 2
@@ -278,7 +277,7 @@ OPS = st.lists(MODES, min_size=1, max_size=5)
 STATS = st.sampled_from(
     [Statistics.FERMION, Statistics.BOSON, Statistics.DISTINGUISHABLE]
 )
-PHASES = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+PHASE_VALUES = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 SCALARS = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 PROP = settings(
@@ -300,7 +299,7 @@ def transform_st(draw, basis=BASIS):
             build = beam_splitter if pick == 0 else hybrid_beam_splitter
             stages.append(build(basis, a, b, t, r))
         elif pick == 2:
-            stages.append(phase_shifter(basis, draw(st.sampled_from(PORTS)), draw(PHASES)))
+            stages.append(phase_shifter(basis, draw(st.sampled_from(PORTS)), draw(PHASE_VALUES)))
         elif pick == 3:
             shuffled = draw(st.permutations(PORTS))
             stages.append(exchange_wiring(basis, dict(zip(PORTS, shuffled))))
@@ -428,7 +427,7 @@ class TestAlgebraProperties:
 class TestCircuitLanguage:
     # the {0, 0.9, -2pi/3}^4 grid and 20 seeded random points
     POINTS = [
-        PhaseSettings(*values)
+        dict(zip(PHASES, values))
         for values in itertools.product((0.0, 0.9, -2.0 * math.pi / 3.0), repeat=4)
     ] + random_quadruples(20, seed=909)
 
@@ -441,7 +440,7 @@ class TestCircuitLanguage:
     def assert_compiles_to_reference(self, name, reference, stats):
         circuit = circuits.compiled(name)
         for s in self.POINTS:
-            got = circuits.final_state(circuit, s)
+            got = execute(circuit, s)
             want = run_circuit(reference, stats, s).final_state
             assert circuits.state_deviation(got, want) < TOL_EXACT, (name, s)
             assert got.terms == want.terms, (name, s)  # bit for bit

@@ -18,7 +18,6 @@ from fockflow.algebra import (
     vacuum,
 )
 from fockflow.analysis import (
-    ChshSettings,
     CoincidenceTable,
     MeasurementPartition,
     OverlappingPartitions,
@@ -32,7 +31,6 @@ from fockflow.analysis import (
     factorization_residual,
 )
 from fockflow.elements import beam_splitter, compose, hybrid_beam_splitter, phase_shifter
-from fockflow.experiments import PhaseSettings
 from reference import apply_creation, reference_coincidence_table
 
 PORTS = ("L", "D", "R", "U")
@@ -76,20 +74,19 @@ class TestChsh:
         return table_from_E(math.cos(a - b))
 
     def test_equal_settings_give_twice_E(self):
-        s = ChshSettings(0.3, 0.3, 1.0, 1.0)
         expected = 2 * abs(math.cos(0.3 - 1.0))
-        assert chsh_value(self.cosine_runner, s) == pytest.approx(expected)
+        assert chsh_value(self.cosine_runner, (0.3, 0.3, 1.0, 1.0)) == pytest.approx(expected)
 
     def test_tsirelson_quadruple_for_cosine_correlation(self):
         # for E = cos(a - b) the optimum sits at (0, pi/2, pi/4, -pi/4)
-        s = ChshSettings(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
-        assert chsh_value(self.cosine_runner, s) == pytest.approx(2 * math.sqrt(2))
+        dials = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
+        assert chsh_value(self.cosine_runner, dials) == pytest.approx(2 * math.sqrt(2))
 
     def test_grid_search_finds_the_optimum(self):
         grid = [k * math.pi / 8 for k in range(16)]
-        best, settings = chsh_grid_search(self.cosine_runner, grid)
+        best, dials = chsh_grid_search(self.cosine_runner, grid)
         assert best == pytest.approx(2 * math.sqrt(2))
-        assert chsh_value(self.cosine_runner, settings) == pytest.approx(best)
+        assert chsh_value(self.cosine_runner, dials) == pytest.approx(best)
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
@@ -98,24 +95,24 @@ class TestChsh:
 
 class TestClosedForm:
     def test_fermion_path_path_aligned(self):
-        t = closed_form_table("path-path", Statistics.FERMION, PhaseSettings())
+        t = closed_form_table("path-path", Statistics.FERMION, {})
         assert np.allclose(t.probs, [[0.25, 0.0], [0.0, 0.25]])
 
     def test_boson_spin_spin_aligned(self):
         # boson analyzer angle is shifted a quarter turn from the fermion one;
-        # phi_r = pi cancels the shift, leaving the chequer at its node
-        t = closed_form_table("spin-spin", Statistics.BOSON, PhaseSettings(phi_r=math.pi))
+        # phiR = pi cancels the shift, leaving the chequer at its node
+        t = closed_form_table("spin-spin", Statistics.BOSON, {"phiR": math.pi})
         assert np.allclose(t.probs, [[0.0, 0.25], [0.25, 0.0]])
 
     def test_statistics_swap_is_quarter_turn(self):
-        s = PhaseSettings(phi_d=0.7, phi_u=1.3)
+        s = {"phiD": 0.7, "phiU": 1.3}
         f = closed_form_table("path-path", Statistics.FERMION, s)
-        shifted = PhaseSettings(phi_d=0.7, phi_u=1.3, phi_r=math.pi)
+        shifted = {**s, "phiR": math.pi}
         b = closed_form_table("path-path", Statistics.BOSON, shifted)
         assert np.allclose(f.probs, b.probs)
 
     def test_row_sums_quarter(self):
-        s = PhaseSettings(0.2, 1.1, 2.3, 0.9)
+        s = {"phiL": 0.2, "phiD": 1.1, "phiR": 2.3, "phiU": 0.9}
         for kind in ("path-path", "spin-spin", "spin-path", "path-spin"):
             for stats in (Statistics.FERMION, Statistics.BOSON):
                 t = closed_form_table(kind, stats, s)
@@ -124,15 +121,15 @@ class TestClosedForm:
 
     def test_no_closed_form_for_distinguishable(self):
         with pytest.raises(ValueError):
-            closed_form_table("path-path", Statistics.DISTINGUISHABLE, PhaseSettings())
+            closed_form_table("path-path", Statistics.DISTINGUISHABLE, {})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            closed_form_table("spin-charge", Statistics.FERMION, PhaseSettings())
+            closed_form_table("spin-charge", Statistics.FERMION, {})
 
     def test_label_override(self):
         t = closed_form_table(
-            "spin-path", Statistics.BOSON, PhaseSettings(), row_labels=("H", "V")
+            "spin-path", Statistics.BOSON, {}, row_labels=("H", "V")
         )
         assert t.row_labels == ("H", "V")
 

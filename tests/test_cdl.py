@@ -340,6 +340,25 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_source(MINIMAL + "measure A internal bin d = down:\n")
 
+    @pytest.mark.parametrize("kind", ["bs", "hbs"])
+    @pytest.mark.parametrize("rest", ["bs a b a b\n", "measure A external bin x = a\n", ""])
+    def test_short_splitter_is_reported_at_its_keyword(self, kind, rest):
+        # a statement keyword or the end of input cuts the port list short
+        with pytest.raises(ParseError) as e:
+            parse_source(MINIMAL + f"{kind} a b\n" + rest)
+        assert str(e.value) == (
+            f"{kind} takes four ports, in_a in_b out_t out_r; 2 given (line 5, col 1)"
+        )
+
+    def test_splitter_with_no_ports_at_the_end(self):
+        with pytest.raises(ParseError, match=r"bs takes four ports, .*; 0 given \(line 5, col 1\)"):
+            parse_source(MINIMAL + "bs")
+
+    def test_bad_token_in_a_splitter_keeps_its_error(self):
+        with pytest.raises(ParseError) as e:
+            parse_source(MINIMAL + "bs a -> b c\n")
+        assert str(e.value) == "expected identifier, found '->' (line 5, col 6)"
+
 
 # Every bin of the four interferometer files, for each party and kind,
 # written out by hand: a slot is (external index, internal index) over the

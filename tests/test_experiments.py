@@ -1,5 +1,6 @@
 """Unit tests for the two-particle interferometers and the decoding bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,16 +9,17 @@ import pytest
 from fockflow.algebra import Statistics, detector_distribution, norm_squared
 from fockflow.analysis import (
     chsh_value,
-    ChshSettings,
     closed_form_table,
+    coincidence_table,
     completeness,
     correlation,
     factorization_residual,
 )
-from fockflow.cdl import rebin
+from fockflow.cdl import compile_circuit, parse_source, rebin
+from fockflow.cli import main
 from fockflow.experiments import (
     MAX_MC_DRAWS,
-    PhaseSettings,
+    PHASES,
     QubitState,
     RNG_ID,
     X_MINUS,
@@ -30,11 +32,18 @@ from fockflow.experiments import (
     signaling_decode_mc,
     sorter_cascade,
 )
-from circuits import compiled, occupations, readout, runner, table
+from circuits import EXAMPLES, compiled, occupations, parts, readout, runner, table
 from reference import canonicalize
 
-SETTINGS = PhaseSettings(phi_l=0.3, phi_d=1.1, phi_r=2.0, phi_u=0.7)
+SETTINGS = dict(zip(PHASES, (0.3, 1.1, 2.0, 0.7)))
 TABLE_KINDS = ("path-path", "spin-spin", "spin-path", "path-spin")
+GRID_9 = tuple(k * 2.0 * math.pi / 9.0 for k in range(9))
+
+
+def swap_source(statistics: str) -> str:
+    """``swap.cdl`` with its ``statistics boson`` line replaced."""
+    source = (EXAMPLES / "swap.cdl").read_text()
+    return source.replace("statistics boson", f"statistics {statistics}")
 
 
 class TestCircuitStates:
@@ -58,7 +67,7 @@ class TestCircuitStates:
         s = SETTINGS
         run = run_circuit("hyperhybrid", Statistics.FERMION, s)
         expected = (
-            np.exp(1j * (s.phi_r + s.phi_l)) - np.exp(1j * (s.phi_d + s.phi_u))
+            np.exp(1j * (s["phiR"] + s["phiL"])) - np.exp(1j * (s["phiD"] + s["phiU"]))
         ) / 4
         _, outcome = canonicalize(
             [run.basis.mode("up", "D"), run.basis.mode("up", "U")], Statistics.FERMION
@@ -91,11 +100,11 @@ class TestTablesAgainstClosedForm:
         assert t.row_labels == ref.row_labels and t.col_labels == ref.col_labels
 
     def test_fermion_path_table_at_zero(self):
-        t = table(compiled("hh_fermion"), "path-path", PhaseSettings())
+        t = table(compiled("hh_fermion"), "path-path", {})
         assert np.allclose(t.probs, [[0.25, 0.0], [0.0, 0.25]], atol=1e-12)
 
     def test_boson_path_table_at_zero(self):
-        t = table(compiled("hh_boson"), "path-path", PhaseSettings())
+        t = table(compiled("hh_boson"), "path-path", {})
         assert np.allclose(t.probs, [[0.0, 0.25], [0.25, 0.0]], atol=1e-12)
 
     def test_coincidence_mass_is_half(self):
@@ -110,18 +119,18 @@ class TestTablesAgainstClosedForm:
             assert correlation(t) == pytest.approx(0.0, abs=1e-12)
 
     def test_correlation_follows_cosine_of_aggregate(self):
-        for s in (SETTINGS, PhaseSettings(phi_d=2.2), PhaseSettings(phi_u=0.4, phi_r=1.9)):
+        for s in (SETTINGS, {"phiD": 2.2}, {"phiU": 0.4, "phiR": 1.9}):
             t = table(compiled("hh_fermion"), "path-path", s)
-            aggregate = (s.phi_d - s.phi_l - s.phi_r + s.phi_u) / 2.0
+            phi_l, phi_d, phi_r, phi_u = (s.get(k, 0.0) for k in PHASES)
+            aggregate = (phi_d - phi_l - phi_r + phi_u) / 2.0
             assert correlation(t) == pytest.approx(math.cos(2 * aggregate), abs=1e-12)
 
 
 class TestChshOnCircuits:
-    QUAD = ChshSettings(0.0, math.pi, math.pi / 4, -math.pi / 4)
+    QUAD = (0.0, math.pi, math.pi / 4, -math.pi / 4)
 
     def test_dial_settings_mapping(self):
-        s = dial_settings(1.2, 0.5)
-        assert (s.phi_l, s.phi_d, s.phi_r, s.phi_u) == (0.0, 0.6, 0.5, 0.0)
+        assert dial_settings(1.2, 0.5) == {"phiL": 0.0, "phiD": 0.6, "phiR": 0.5, "phiU": 0.0}
 
     def test_dialed_correlation(self):
         t = runner("hh_fermion", "path-path")(1.0, 0.25)
@@ -154,7 +163,7 @@ class TestSwapCircuit:
         assert t.row_labels == ("H", "V")
 
     def test_flat_table_at_quarter_turn(self):
-        t = table(compiled("swap"), "spin-path", PhaseSettings(phi_r=math.pi / 2))
+        t = table(compiled("swap"), "spin-path", {"phiR": math.pi / 2})
         assert np.allclose(t.probs, 0.125, atol=1e-12)
 
     def test_plain_splitter_side_factorizes(self):
@@ -174,6 +183,50 @@ class TestSwapCircuit:
         probs = readout(hh, SETTINGS)
         for party in ("A", "B"):
             assert occupations(hh, probs, party).probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSwapUnderOtherStatistics:
+    """The swap file run with its statistics line replaced, over the 9^4 grid."""
+
+    def test_fermion_table_is_the_boson_law_with_bobs_ports_exchanged(self):
+        circuit = compile_circuit(parse_source(swap_source("fermion")))
+        bins = parts(circuit, "spin-path")
+        worst_cell = worst_bob = worst_alice = 0.0
+        for pl, pd, pr, pu in itertools.product(GRID_9, repeat=4):
+            probs = readout(circuit, dict(zip(PHASES, (pl, pd, pr, pu))))
+            half = (pd - pl - pr + pu) / 2.0
+            c2 = 0.25 * math.cos(half) ** 2
+            s2 = 0.25 * math.sin(half) ** 2
+            # criterion 7's quarter-angle law with Bob's R and U columns exchanged
+            want = np.array([[s2, c2], [c2, s2]])
+            got = coincidence_table(probs, *bins).probs
+            worst_cell = max(worst_cell, float(np.max(np.abs(got - want))))
+            bob = factorization_residual(occupations(circuit, probs, "B"))
+            alice = factorization_residual(occupations(circuit, probs, "A"))
+            worst_bob = max(worst_bob, bob)
+            worst_alice = max(worst_alice, abs(alice - 0.25))
+        assert worst_cell < 1e-9
+        assert worst_bob < 1e-12  # Bob's plain splitters keep his side separable
+        assert worst_alice < 1e-12  # Alice's hybrid side stays correlated everywhere
+
+    def test_distinguishable_table_is_flat(self):
+        circuit = compile_circuit(parse_source(swap_source("distinguishable")))
+        bins = parts(circuit, "spin-path")
+        worst = 0.0
+        for point in itertools.product(GRID_9, repeat=4):
+            got = coincidence_table(readout(circuit, dict(zip(PHASES, point))), *bins).probs
+            worst = max(worst, float(np.max(np.abs(got - 0.125))))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize(
+        "statistics,last_line",
+        [("fermion", "CHSH 2.828427124746"), ("distinguishable", "CHSH 0.000000000000")],
+    )
+    def test_chsh_search_on_the_file(self, capsys, tmp_path, statistics, last_line):
+        f = tmp_path / f"swap_{statistics}.cdl"
+        f.write_text(swap_source(statistics))
+        assert main(["chsh", str(f), "--search"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == last_line
 
 
 class TestPartitions:

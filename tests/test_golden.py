@@ -6,8 +6,10 @@ print, byte for byte, the text or ``--json`` output stored under
 must print the same bytes, apart from the circuit argument echoed in the
 text header.
 
-Regenerate the goldens, only when an output change is intended, with
-``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
+``PYTHONPATH=src python tests/test_golden.py``, from the repository root,
+writes the goldens that do not exist yet and prints each path it writes;
+it never overwrites one.  To refresh a golden on purpose, when an output
+change is intended, delete its file first.
 """
 
 import contextlib
@@ -33,6 +35,13 @@ def _commands():
         ("chsh", "hh", "--stats", s, *search)
         for s in ("boson", "distinguishable")
         for search in ((), ("--search",))
+    ]
+    # plain decimals: golden_path joins argv into a file name, so no "/"
+    base += [
+        ("table", "hh", "--phase-d=0.5", "--phase-u=-0.7"),
+        ("table", "swap", "--phase-r=1.9"),
+        ("chsh", "hh", "--dials", "0.1,1,2,3"),
+        ("chsh", "swap", "--dials", "0,1.5,0.75,-0.75"),
     ]
     commands = base + [(*argv, "--json") for argv in base]
     commands += [
@@ -97,4 +106,7 @@ def test_bundled_file_prints_what_its_name_prints(argv):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for argv in COMMANDS + CASCADES:
-        golden_path(argv).write_text(run(argv))
+        path = golden_path(argv)
+        if not path.exists():
+            path.write_text(run(argv))
+            print(path)
