@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Callable
 
 from ..algebra import (
     ModeBasis,
@@ -33,32 +35,29 @@ from .parser import (
     SplitterStmt,
 )
 
-BOUND_STAGE_CAP = 256  # bound `$name` stages kept per compiled circuit
+BOUND_STAGE_CAP = 256  # `$name` stages ``bind`` keeps per compiled circuit
+
 
 @dataclass(frozen=True)
 class CompiledCircuit:
     """A circuit ready to run; ``execute`` binds its `$name` phases.
 
     ``stages`` holds one transform per element statement, with each `$name`
-    phase compiled at 0.0.  ``bound``, outside equality, maps (stage index,
-    phase value) to the `$name` stages built so far; it starts with the
-    stages compiled at 0.0 and is cleared whenever it reaches
-    ``BOUND_STAGE_CAP`` entries.  The values 0.0 and -0.0 share an entry:
-    their stages differ only in the sign of a zero imaginary part, which no
-    probability sees.
+    phase compiled at 0.0.  ``params`` lists one (stage index, bare name,
+    port) per `$name` phase.  ``bind(port, value)``, outside equality, is
+    the phase stage at that port: ``phase_shifter`` over the circuit's
+    basis behind an LRU cache of the last ``BOUND_STAGE_CAP`` (port, value)
+    pairs.  The values 0.0 and -0.0 share an entry: their stages differ
+    only in the sign of a zero imaginary part, which no probability sees.
     """
 
     tree: CircuitSpecTree
-    statistics: Statistics
     basis: ModeBasis
     initial: StateVector
     stages: tuple[ModeTransform, ...]
     partitions: dict  # party -> MeasurementPartition
-    bound: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        params = [k for k, el in enumerate(self.tree.elements) if _is_param(el)]
-        object.__setattr__(self, "bound", {(k, 0.0): self.stages[k] for k in params})
+    params: tuple[tuple[int, str, str], ...]
+    bind: Callable[[str, float], ModeTransform] = field(compare=False, repr=False)
 
 
 def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
@@ -90,49 +89,37 @@ def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
     if n2 != 1.0:  # bosons sharing a mode: the raw product has norm^2 prod n_k!
         state = scale(state, n2**-0.5)
 
-    stages = []
-    for el in tree.elements:
+    bind = lru_cache(maxsize=BOUND_STAGE_CAP)(partial(phase_shifter, basis))
+    stages, params = [], []
+    for k, el in enumerate(tree.elements):
         try:
-            stages.append(_compile_element(el, basis))
+            if isinstance(el, PhaseStmt) and el.arg.param is not None:
+                params.append((k, el.arg.param, el.port.name))
+                stages.append(bind(el.port.name, 0.0))
+            else:
+                stages.append(_compile_element(el, basis))
         except ValueError as e:  # a builder's complaint, placed at the statement
             at = getattr(el, "in_a", None) or getattr(el, "port", None) or el.routes[0].src
             raise SemanticError(str(e), at.line, at.col) from e
     partitions = {m.party: _compile_measure(m, basis) for m in tree.measures}
-    return CompiledCircuit(tree, stats, basis, state, tuple(stages), partitions)
+    return CompiledCircuit(tree, basis, state, tuple(stages), partitions, tuple(params), bind)
 
 
 def execute(compiled: CompiledCircuit, params: dict | None = None) -> StateVector:
     """Run the initial state through the composed element sequence.
 
     ``params`` binds `$name` phase parameters by bare name (no `$`);
-    unbound ones stay at 0.0. Every stage is composed in order; each `$name`
-    stage is built once per value and then taken from ``compiled.bound``,
-    so one compiled circuit serves every phase setting.
+    unbound ones stay at 0.0. Each `$name` stage is ``compiled.bind`` at
+    its port and bound value, so one compiled circuit serves every phase
+    setting and builds a stage only on a cache miss.
     """
     if not compiled.stages:
         return compiled.initial
     params = params or {}
-    stages = [
-        _bound_stage(compiled, k, el, params) if _is_param(el) else stage
-        for k, (el, stage) in enumerate(zip(compiled.tree.elements, compiled.stages))
-    ]
+    stages = list(compiled.stages)
+    for k, name, port in compiled.params:
+        stages[k] = compiled.bind(port, float(params.get(name, 0.0)))  # a raise caches nothing
     return substitute(compiled.initial, compose(stages))
-
-
-def _is_param(el) -> bool:
-    return isinstance(el, PhaseStmt) and el.arg.param is not None
-
-
-def _bound_stage(compiled: CompiledCircuit, k: int, el: PhaseStmt, params: dict) -> ModeTransform:
-    """Stage ``k`` at its bound value, built on a cache miss."""
-    value = float(params.get(el.arg.param[1:], 0.0))
-    stage = compiled.bound.get((k, value))
-    if stage is None:
-        stage = phase_shifter(compiled.basis, el.port.name, value)  # a raise caches nothing
-        if len(compiled.bound) >= BOUND_STAGE_CAP:
-            compiled.bound.clear()
-        compiled.bound[k, value] = stage
-    return stage
 
 
 def rebin(compiled: CompiledCircuit, party: str, kind: str) -> MeasurementPartition:
@@ -164,13 +151,12 @@ def rebin(compiled: CompiledCircuit, party: str, kind: str) -> MeasurementPartit
 
 
 def _compile_element(el, basis: ModeBasis) -> ModeTransform:
-    """One element statement's transform; a `$name` phase compiles at 0.0."""
+    """One element statement's transform; ``compile_circuit`` binds `$name` phases."""
     if isinstance(el, SplitterStmt):
         build = hybrid_beam_splitter if el.kind == "hbs" else beam_splitter
         return build(basis, el.in_a.name, el.in_b.name, el.out_t.name, el.out_r.name)
     if isinstance(el, PhaseStmt):
-        value = 0.0 if el.arg.param is not None else el.arg.value
-        return phase_shifter(basis, el.port.name, value)
+        return phase_shifter(basis, el.port.name, el.arg.value)
     if isinstance(el, (SorterStmt, ExchangeStmt)):
         routing = {r.src.name: r.dst.name for r in el.routes}
         if isinstance(el, SorterStmt) and el.selector == "internal":

@@ -60,7 +60,7 @@ class LabelRef:
 
 @dataclass(frozen=True)
 class PhaseArg:
-    """Literal radians or a `$name` parameter, bound when the circuit is executed."""
+    """Literal radians or a `$name` parameter (``param`` holds the bare name), bound at execute."""
 
     value: float | None = None
     param: str | None = None
@@ -245,7 +245,7 @@ def parse(tokens: list[Token]) -> CircuitSpecTree:
                 arg = PhaseArg(value=t.value)
             elif t.kind == "identifier" and t.text.startswith("$"):
                 p.advance()
-                arg = PhaseArg(param=t.text)
+                arg = PhaseArg(param=t.text[1:])
             else:
                 p.fail("expected a phase value or $parameter")
             elements.append(PhaseStmt(port, arg))

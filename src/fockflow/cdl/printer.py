@@ -38,7 +38,7 @@ def pretty_print(tree: CircuitSpecTree) -> str:
                 f"{el.kind} {el.in_a.name} {el.in_b.name} {el.out_t.name} {el.out_r.name}"
             )
         elif isinstance(el, PhaseStmt):
-            arg = el.arg.param if el.arg.param is not None else _num(el.arg.value)
+            arg = f"${el.arg.param}" if el.arg.param is not None else _num(el.arg.value)
             lines.append(f"phase {el.port.name} {arg}")
         elif isinstance(el, SorterStmt):
             if el.selector == "internal":

@@ -56,7 +56,6 @@ from .analysis import (
 from .cdl import (
     LexError,
     ParseError,
-    PhaseStmt,
     SemanticError,
     compile_circuit,
     execute,
@@ -291,9 +290,9 @@ def _runner(args, signed: bool = False):
     ``detector_distribution`` once, checks the norm^2 that comes with it
     against --tolerance and returns (detector probabilities, coincidence
     table); a zero state fails the check too.  ``signed`` rejects bin
-    labels outside the correlation sign map.  ``--param`` may bind only a
-    `$name` the file declares, and not a standard phase, which each command
-    binds itself.
+    labels outside the correlation sign map.  ``--param`` may not bind a
+    standard phase, which each command binds itself, and once the file
+    compiles it may bind only a `$name` that ``compiled.params`` lists.
     """
     path = _circuit_path(args)
     tree = _read_tree(path)
@@ -309,18 +308,14 @@ def _runner(args, signed: bool = False):
             f"--param {', '.join(bound)}: {', '.join(PHASES)} are bound by"
             " --phase-l/d/r/u on table and by the dials on chsh"
         )
-    declared = {
-        el.arg.param[1:]
-        for el in tree.elements
-        if isinstance(el, PhaseStmt) and el.arg.param is not None
-    }
+    compiled = _compile(path, tree)
+    declared = {name for _, name, _ in compiled.params}
     unknown = [name for name in extra if name not in declared]
     if unknown:
         raise _InputError(
             f"--param {', '.join(unknown)}: {path} declares no such parameter"
             f" (it has {', '.join(sorted(declared)) or 'none'})"
         )
-    compiled = _compile(path, tree)
     if "A" not in compiled.partitions or "B" not in compiled.partitions:
         raise _InputError(f"{path}: file must measure both parties A and B")
     if args.kind:
@@ -362,6 +357,7 @@ def _format_table(table) -> list[str]:
 
 def cmd_table(args) -> int:
     phases = dict(zip(PHASES, (args.phase_l, args.phase_d, args.phase_r, args.phase_u)))
+    phases.update(args.param or [])  # the record names every phase the circuit ran at
     compiled, kind, _, run = _runner(args)
     stats_name = compiled.tree.statistics
     probs, table = run(phases)
@@ -423,7 +419,7 @@ def cmd_chsh(args) -> int:
         args,
         "chsh",
         statistics=stats_name,
-        phases=None,
+        phases=dict(args.param) if args.param else None,
         chsh=best,
         values={
             **e_values,

@@ -83,7 +83,6 @@ class ModeTransform:
 
     basis: ModeBasis
     matrix: np.ndarray
-    name: str = ""
     _columns: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -109,11 +108,11 @@ class ModeTransform:
         return tuple(self.column(m) for m in range(len(self.basis)))
 
 
-def identity(basis: ModeBasis, name: str = "identity") -> ModeTransform:
-    return _slot_element(basis, {}, name)
+def identity(basis: ModeBasis) -> ModeTransform:
+    return _slot_element(basis, {})
 
 
-def _slot_element(basis: ModeBasis, moves: dict, name: str) -> ModeTransform:
+def _slot_element(basis: ModeBasis, moves: dict) -> ModeTransform:
     """The element sending each moved slot to its images, on every species alike.
 
     ``moves`` maps an (internal, external) name pair to its (output pair,
@@ -126,7 +125,7 @@ def _slot_element(basis: ModeBasis, moves: dict, name: str) -> ModeTransform:
         matrix[m, m] = 0.0
         for target, amp in images:
             matrix[basis.slots[target], m] = amp
-    return ModeTransform(basis, matrix, name)
+    return ModeTransform(basis, matrix)
 
 
 def _external(basis: ModeBasis, name: str) -> str:
@@ -146,10 +145,10 @@ def phase_shifter(basis: ModeBasis, port: str, phase: float) -> ModeTransform:
         raise ValueError(f"phase at port {port!r} must be finite, got {phase}")
     factor = np.exp(1j * phase)
     moves = {(il, port): [((il, port), factor)] for il in basis.internals}
-    return _slot_element(basis, moves, f"phase {port} {phase:g}")
+    return _slot_element(basis, moves)
 
 
-def _splitter(basis, in_a, in_b, out_t, out_r, flip, name):
+def _splitter(basis, in_a, in_b, out_t, out_r, flip):
     out_t = in_a if out_t is None else out_t
     out_r = in_b if out_r is None else out_r
     for p in (in_a, in_b, out_t, out_r):
@@ -174,7 +173,7 @@ def _splitter(basis, in_a, in_b, out_t, out_r, flip, name):
         for il in basis.internals
         for port, p_t, p_r in routes
     }
-    return _slot_element(basis, moves, name)
+    return _slot_element(basis, moves)
 
 
 def beam_splitter(basis, in_a, in_b, out_t=None, out_r=None):
@@ -185,9 +184,7 @@ def beam_splitter(basis, in_a, in_b, out_t=None, out_r=None):
 
     Output ports default to the input ports (the self-looped arm case).
     """
-    return _splitter(
-        basis, in_a, in_b, out_t, out_r, None, f"bs {in_a} {in_b} -> {out_t or in_a} {out_r or in_b}"
-    )
+    return _splitter(basis, in_a, in_b, out_t, out_r, None)
 
 
 def hybrid_beam_splitter(basis, in_a, in_b, out_t=None, out_r=None):
@@ -204,15 +201,7 @@ def hybrid_beam_splitter(basis, in_a, in_b, out_t=None, out_r=None):
             f"hybrid splitter needs exactly 2 internal labels, got {basis.internals}"
         )
     lo, hi = basis.internals
-    return _splitter(
-        basis,
-        in_a,
-        in_b,
-        out_t,
-        out_r,
-        {lo: hi, hi: lo},
-        f"hbs {in_a} {in_b} -> {out_t or in_a} {out_r or in_b}",
-    )
+    return _splitter(basis, in_a, in_b, out_t, out_r, {lo: hi, hi: lo})
 
 
 def dof_sorter(basis: ModeBasis, routing: dict, port: str):
@@ -238,7 +227,7 @@ def dof_sorter(basis: ModeBasis, routing: dict, port: str):
         if routing[s] != port:
             moves[(s, port)] = [((s, routing[s]), 1.0)]
             moves[(s, routing[s])] = [((s, port), 1.0)]
-    return _slot_element(basis, moves, f"sorter internal {port}")
+    return _slot_element(basis, moves)
 
 
 def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
@@ -267,7 +256,7 @@ def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
     if sorted(complete.values()) != sorted(basis.externals):
         raise NotBijective(f"completed relabel is not a permutation: {complete}")
     moves = {(il, e): [((il, complete[e]), 1.0)] for il in basis.internals for e in complete}
-    return _slot_element(basis, moves, "exchange")
+    return _slot_element(basis, moves)
 
 
 def compose(stages) -> ModeTransform:
@@ -281,11 +270,11 @@ def compose(stages) -> ModeTransform:
     if not stages:
         raise ValueError("compose needs at least one stage")
     basis, total = stages[0].basis, stages[0].matrix
-    for t in stages[1:]:
+    for k, t in enumerate(stages[1:], 1):
         if t.basis is not basis and t.basis != basis:
-            raise BasisMismatch(f"stage {t.name!r} is over {t.basis}, not {basis}")
+            raise BasisMismatch(f"stage {k} is over {t.basis}, not {basis}")
         total = t.matrix @ total
-    return ModeTransform(basis, total, "composed")
+    return ModeTransform(basis, total)
 
 
 def verify_unitary(t: ModeTransform, tol: float = 1e-12) -> bool:

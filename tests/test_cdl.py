@@ -416,12 +416,12 @@ class TestCompiler:
         # to, whether a stage is new, cached, shared by -0.0 or built after a clear
         tree = parse_source(read(name))
         compiled = compile_circuit(tree)
-        names = [el.arg.param[1:] for el in tree.elements if isinstance(el, PhaseStmt)]
+        names = [el.arg.param for el in tree.elements if isinstance(el, PhaseStmt)]
         assert sorted(names) == sorted(self.PARAMS)
 
         def literal(params):
             elements = tuple(
-                dataclasses.replace(el, arg=PhaseArg(value=params[el.arg.param[1:]]))
+                dataclasses.replace(el, arg=PhaseArg(value=params[el.arg.param]))
                 if isinstance(el, PhaseStmt)
                 else el
                 for el in tree.elements
@@ -446,19 +446,22 @@ class TestCompiler:
         for _ in range(1250):  # 5,000 distinct phases overflow the cache many times
             params = {p: rng.uniform(-math.pi, math.pi) for p in self.PARAMS}
             assert execute(compiled, params).terms == literal(params), params
-            assert len(compiled.bound) <= BOUND_STAGE_CAP
+            assert compiled.bind.cache_info().currsize <= BOUND_STAGE_CAP
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
     def test_non_finite_bound_phase_raises_and_caches_nothing(self, phase):
-        # the miss raises before the full cache is cleared or the value stored
+        # the miss raises before the full cache evicts an entry or stores the value
         compiled = compile_circuit(parse_source(read("hh_boson.cdl")))
-        for k in range(BOUND_STAGE_CAP - len(compiled.bound)):
+        for k in range(BOUND_STAGE_CAP - compiled.bind.cache_info().currsize):
             execute(compiled, {"phiL": 0.001 * (k + 1)})
-        keys = list(compiled.bound)
-        assert len(keys) == BOUND_STAGE_CAP
+        assert compiled.bind.cache_info().currsize == BOUND_STAGE_CAP
         with pytest.raises(ValueError, match="phase at port 'L' must be finite"):
             execute(compiled, {"phiL": phase})
-        assert list(compiled.bound) == keys
+        before = compiled.bind.cache_info()
+        execute(compiled)  # (L, 0.0) is the least recently used entry
+        after = compiled.bind.cache_info()
+        assert after.currsize == BOUND_STAGE_CAP
+        assert (after.hits - before.hits, after.misses - before.misses) == (4, 0)
 
     def test_runs_share_output_monomials(self):
         compiled = compile_circuit(parse_source(read("hh_boson.cdl")))
@@ -718,7 +721,7 @@ class TestInitialState:
         # inserts basis indices; terms, their order and every bit must agree
         tree = parse_source(source)
         compiled = compile_circuit(tree)
-        stats, basis = compiled.statistics, compiled.basis
+        stats, basis = compiled.initial.statistics, compiled.basis
         want = vacuum(stats)
         for k in reversed(range(len(tree.particles))):
             p = tree.particles[k]

@@ -10,7 +10,7 @@ import pytest
 
 from fockflow import algebra, cli
 from fockflow.algebra import StateVector
-from fockflow.cdl import compiler, execute
+from fockflow.cdl import compiler, execute, parse_source
 from fockflow.cli import main, parse_phase
 from fockflow.experiments import MAX_MC_DRAWS
 
@@ -397,6 +397,103 @@ def test_search_builds_each_dial_stage_once(capsys, monkeypatch):
     assert code == 0
     # four stages at 0.0, then 15 more values of each of the two dial phases
     assert len(builds) <= 34
+
+
+def _hh_with(tmp_path, old: str, new: str) -> Path:
+    """A copy of ``hh_fermion.cdl`` with the text ``old`` replaced by ``new``."""
+    source = (EXAMPLES / "hh_fermion.cdl").read_text()
+    assert old in source
+    f = tmp_path / "edited.cdl"
+    f.write_text(source.replace(old, new))
+    return f
+
+
+def _state(path: Path, params=None):
+    return execute(compiler.compile_circuit(parse_source(path.read_text())), params)
+
+
+class TestParamRecords:
+    """A ``--json`` record's phases are the whole binding the circuit ran at."""
+
+    THETA = "phase D $phiD\n", "phase D $phiD\nphase D $theta\n"
+
+    def test_table_records_param_bindings(self, capsys, tmp_path):
+        f = _hh_with(tmp_path, *self.THETA)
+        plain = run_json(capsys, "table", str(f), "--param", "theta=0")
+        bound = run_json(capsys, "table", str(f), "--param", "theta=1.3", "--phase-l=0.2")
+        assert plain["phases"] == {"phiL": 0.0, "phiD": 0.0, "phiR": 0.0, "phiU": 0.0, "theta": 0.0}
+        assert bound["phases"] == {"phiL": 0.2, "phiD": 0.0, "phiR": 0.0, "phiU": 0.0, "theta": 1.3}
+        assert bound["table"]["cells"] != pytest.approx(plain["table"]["cells"], abs=1e-3)
+
+    def test_chsh_records_param_bindings(self, capsys, tmp_path):
+        f = _hh_with(tmp_path, *self.THETA)
+        assert run_json(capsys, "chsh", str(f))["phases"] is None
+        bound = run_json(capsys, "chsh", str(f), "--param", "theta=1.3", "--param", "theta=0.5")
+        assert bound["phases"] == {"theta": 0.5}  # the last binding of a name wins, as it runs
+
+    def test_failing_compile_is_reported_before_an_undeclared_param(self, capsys, tmp_path):
+        f = _hh_with(tmp_path, "hbs R D R D", "hbs R R R D")
+        code, out, err = run(capsys, "table", str(f), "--param", "typo=1")
+        assert code == 2
+        assert out == ""
+        assert "splitter ports must differ" in err and "line 10, col 5" in err
+        assert "typo" not in err
+
+
+class TestParamTable:
+    def test_lists_each_named_phase(self):
+        compiled = compiler.compile_circuit(parse_source((EXAMPLES / "hh_fermion.cdl").read_text()))
+        assert compiled.params == ((2, "phiL", "L"), (3, "phiD", "D"), (4, "phiR", "R"), (5, "phiU", "U"))
+
+    def test_equal_bindings_at_one_port_build_one_stage(self, monkeypatch, tmp_path):
+        builds = _count_phase_builds(monkeypatch)
+        f = _hh_with(tmp_path, "phase D $phiD\n", "phase D $a\nphase D $b\n")
+        state = _state(f, {"a": 0.7, "b": 0.7})
+        assert builds.count(("D", 0.0)) == builds.count(("D", 0.7)) == 1
+        literal = _hh_with(tmp_path, "phase D $phiD\n", "phase D 0.7\nphase D 0.7\n")
+        assert state.terms == _state(literal).terms
+
+    def test_one_name_at_two_ports_binds_both(self, tmp_path):
+        f = _hh_with(tmp_path, "phase R $phiR\n", "phase R $phiL\n")
+        compiled = compiler.compile_circuit(parse_source(f.read_text()))
+        assert [(name, port) for _, name, port in compiled.params if name == "phiL"] == [
+            ("phiL", "L"),
+            ("phiL", "R"),
+        ]
+        literal = _hh_with(tmp_path, "phase R $phiR\n", "phase R 0.9\n")
+        assert execute(compiled, {"phiL": 0.9}).terms == _state(literal, {"phiL": 0.9}).terms
+        assert execute(compiled, {"phiL": 0.9}).terms != execute(compiled, {}).terms
+
+
+# every option string and positional of each subcommand; a new or removed
+# knob must show up here as a test diff
+OPTIONS = {
+    None: {"-h", "--help", "--version"},
+    "table": {"--phase-l", "--phase-d", "--phase-r", "--phase-u", "--param", "circuit"},
+    "chsh": {"--param", "--dials", "--search", "circuit"},
+    "sweep": {"--steps", "--out", "circuit"},
+    "signal": {"--dofs", "--copies", "--mc"},
+    "cascade": {"--dofs", "--state"},
+    "check": {"file"},
+}
+
+
+def test_option_surface_is_pinned():
+    def surface(parser):
+        return {
+            s for a in parser._actions for s in a.option_strings or [a.dest] if s != "command"
+        }
+
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    common = {"-h", "--help", "--json", "--seed", "--tolerance"}
+    circuit = {"--stats", "--kind"}
+    got = {None: surface(parser), **{name: surface(p) for name, p in sub.choices.items()}}
+    want = {
+        name: opts if name is None else opts | common | (circuit if "circuit" in opts else set())
+        for name, opts in OPTIONS.items()
+    }
+    assert got == want
 
 
 SAME_SIDE = """\
