@@ -117,9 +117,9 @@ class ModeBasis:
 
     ``modes`` enumerates every (species, internal, external) combination in
     canonical ``order_key`` order, whatever order ``species`` is declared
-    in, so a basis index is a canonical rank; matrices over the basis index
-    rows and columns by it.  ``modes`` is one block per species, each block
-    listing the same (internal, external) slots; ``slots`` maps a slot's
+    in, so a basis index is a canonical rank; a transform's columns and
+    their rows are indexed by it.  ``modes`` is one block per species, each
+    block listing the same (internal, external) slots; ``slots`` maps a slot's
     (internal name, external name) to its position inside every block.
     ``monomial`` memoizes the monomials it builds from basis indices, one
     per occupation pattern of the basis, outside equality.
@@ -324,10 +324,11 @@ def substitute(state: StateVector, transform) -> StateVector:
 
     Each a_m^dag is replaced by sum_n T[n, m] a_n^dag and like monomials
     merge.  The transform only needs a ``basis`` attribute and a
-    ``column(k)`` method (see ``elements.ModeTransform``) listing column
-    k's nonzeros as (row index, value) pairs; only the columns of occupied
-    modes are read.  Output monomials come from ``basis.monomial``, so
-    every run over one basis shares them.
+    ``column(k)`` method listing column k's nonzeros as (row index, value)
+    pairs; only the columns of occupied modes are read, and an
+    ``elements.ModeTransform`` pushes each through its slot maps on first
+    read.  Output monomials come from ``basis.monomial``, so every run
+    over one basis shares them.
 
     Each input monomial is expanded by ``_left_multiply``, the left
     insertion that ``create`` also builds initial states with, and the

@@ -106,8 +106,10 @@ def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
 
 
 def execute(compiled: CompiledCircuit, params: dict | None = None) -> StateVector:
-    """Run the initial state through the composed element sequence.
+    """Run the initial state through the element sequence.
 
+    ``compose`` chains the stages' slot maps, and ``substitute`` pushes
+    only the occupied modes' columns through them.
     ``params`` binds `$name` phase parameters by bare name (no `$`);
     unbound ones stay at 0.0. Each `$name` stage is ``compiled.bind`` at
     its port and bound value, so one compiled circuit serves every phase

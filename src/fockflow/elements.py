@@ -1,8 +1,12 @@
-"""Unitary mode transforms for passive linear-optical elements.
+"""Unitary mode transforms for passive linear-optical elements, as slot maps.
 
-Every element is a square complex matrix over a mode basis's slots, with
-matrix[n, m] the coefficient of output slot n for input slot m, so that a
-creation operator rewrites as a_m^dag -> sum_n matrix[n, m] a_n^dag.
+A transform is a sequence of slot maps over a basis's (internal, external)
+slots, applied in order.  A map sends each slot it names to its images,
+((slot, amplitude), ...), and every other slot passes through.  Column m of
+the transform, in a_m^dag -> sum_n U[n, m] a_n^dag, is slot m's unit vector
+pushed through every map, so no square matrix is built.  Every element is
+one map sending a slot to at most two images; any passive unitary factors
+into such two-mode elements (Reck et al., PRL 73, 58 (1994)).
 
 Conventions frozen here:
 - Balanced splitters are symmetric: transmission amplitude 1/sqrt(2) real,
@@ -11,17 +15,16 @@ Conventions frozen here:
   flips it (with the i) on reflection; it requires a two-element internal
   label set.
 - Elements act identically on every species: passive optics cannot address
-  particle identity.  An element is one slot matrix, and ``column`` places
-  it in every species block of the basis, so this holds by construction.
-- Sorters and exchange wirings are permutation matrices.
+  particle identity.  ``column`` places the pushed slot column in every
+  species block of the basis, so this holds by construction.
+- Sorters and exchange wirings are permutations.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .algebra import ModeBasis, UnknownMode
 
@@ -69,38 +72,36 @@ class BasisMismatch(ValueError):
 class ModeTransform:
     """A linear map on creation operators over a fixed mode basis.
 
-    ``matrix`` is a private, read-only copy of the square slot matrix it is
-    given, so later writes to that array (or to the base of a view) reach
-    neither it nor its columns.
+    ``maps`` holds slot maps in application order: each takes a slot index
+    of ``basis.slots`` to a tuple of (slot index, amplitude) images, and a
+    slot it does not name passes through.  Maps are shared, never written.
 
-    ``column(m)`` holds the entries of basis index m's slot column above
+    ``column(m)`` pushes basis index m's slot unit vector through every
+    map, touching only the entries a map names, and keeps those above
     ``COLUMN_DROP_TOLERANCE`` as (row index, complex value) pairs, rows
-    shifted into m's species block and ascending; substitution iterates
-    these instead of scanning the dense matrix.  Each column is built on
-    first read and kept, so ``substitute`` pays only for the columns its
+    shifted into m's species block and ascending.  Each column is pushed
+    on first read and kept, so ``substitute`` pays only for the columns its
     state occupies; ``columns`` lists every basis index's column.
     """
 
     basis: ModeBasis
-    matrix: np.ndarray
+    maps: tuple
     _columns: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        n = len(self.basis.slots)
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.shape != (n, n):
-            raise ValueError(f"matrix shape {mat.shape} does not match the basis's {n} slots")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
     def column(self, m: int) -> tuple:
         col = self._columns.get(m)
         if col is None:
-            slot = m % len(self.matrix)
-            entries = self.matrix[:, slot]
-            keep = np.flatnonzero(np.abs(entries) > COLUMN_DROP_TOLERANCE)
-            rows = [k + m - slot for k in keep.tolist()]
-            col = self._columns[m] = tuple(zip(rows, entries[keep].tolist()))
+            slot = m % len(self.basis.slots)
+            vec = {slot: 1.0}
+            for images in self.maps:
+                # every named slot leaves before any image lands, so it keeps only images
+                moved = [(s, vec.pop(s)) for s in images if s in vec]
+                for s, v in moved:
+                    for k, amp in images[s]:
+                        vec[k] = vec.get(k, 0.0) + amp * v
+            col = self._columns[m] = tuple(
+                (k + m - slot, complex(vec[k])) for k in sorted(vec) if abs(vec[k]) > COLUMN_DROP_TOLERANCE
+            )
         return col
 
     @property
@@ -117,15 +118,11 @@ def _slot_element(basis: ModeBasis, moves: dict) -> ModeTransform:
 
     ``moves`` maps an (internal, external) name pair to its (output pair,
     amplitude) images; slots it does not name pass through.  The result is
-    the slot matrix over ``basis.slots``, whatever the species count.
+    one slot map over ``basis.slots``, whatever the species count.
     """
-    matrix = np.eye(len(basis.slots), dtype=complex)
-    for source, images in moves.items():
-        m = basis.slots[source]
-        matrix[m, m] = 0.0
-        for target, amp in images:
-            matrix[basis.slots[target], m] = amp
-    return ModeTransform(basis, matrix)
+    slots = basis.slots
+    images = {slots[src]: tuple((slots[dst], amp) for dst, amp in out) for src, out in moves.items()}
+    return ModeTransform(basis, (images,))
 
 
 def _external(basis: ModeBasis, name: str) -> str:
@@ -143,7 +140,7 @@ def phase_shifter(basis: ModeBasis, port: str, phase: float) -> ModeTransform:
     _external(basis, port)
     if not math.isfinite(phase):
         raise ValueError(f"phase at port {port!r} must be finite, got {phase}")
-    factor = np.exp(1j * phase)
+    factor = cmath.exp(1j * phase)
     moves = {(il, port): [((il, port), factor)] for il in basis.internals}
     return _slot_element(basis, moves)
 
@@ -162,7 +159,7 @@ def _splitter(basis, in_a, in_b, out_t, out_r, flip):
         )
 
     flip = flip or {il: il for il in basis.internals}
-    t, r = 1.0 / np.sqrt(2.0), 1j / np.sqrt(2.0)
+    t, r = 1 / math.sqrt(2.0), 1j / math.sqrt(2.0)
     # (input port, transmitted port, reflected port); disjoint output pairs
     # get the reverse direction filled with the same mixer to stay unitary
     routes = [(in_a, out_t, out_r), (in_b, out_r, out_t)]
@@ -208,7 +205,7 @@ def dof_sorter(basis: ModeBasis, routing: dict, port: str):
     """Route the particles arriving at ``port`` by their internal label.
 
     A particle with internal label s is sent to external port routing[s].
-    The matrix is the product of the transpositions (s, port) <-> (s,
+    The map is the product of the transpositions (s, port) <-> (s,
     routing[s]), so it is its own inverse; routed-to ports are expected to
     be unoccupied upstream, the way a fresh detector rail is.  Sorting by
     the external label is a wholesale port permutation: ``exchange_wiring``.
@@ -236,7 +233,7 @@ def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
     Targets that are not themselves relabeled are sent back to the head of
     their chain, so a one-way map like {D: DA} completes to the swap
     {D: DA, DA: D}; unmentioned ports stay fixed.  The result is the
-    permutation matrix moving slot (s, e) -> (s, complete[e]), in every species.
+    permutation moving slot (s, e) -> (s, complete[e]), in every species.
     """
     for k, v in relabel.items():
         _external(basis, k)
@@ -260,26 +257,25 @@ def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
 
 
 def compose(stages) -> ModeTransform:
-    """Product of one or more stages in application order (first stage acts first).
+    """The stages one after another, in application order (first stage acts first).
 
-    Every stage must be over the first stage's basis.  The product starts
-    from the first stage's matrix, and each later stage multiplies it on
-    the left.
+    Every stage must be over the first stage's basis.  The result chains
+    the stages' slot maps; nothing is multiplied until a ``column`` is read.
     """
     stages = list(stages)
     if not stages:
         raise ValueError("compose needs at least one stage")
-    basis, total = stages[0].basis, stages[0].matrix
+    basis = stages[0].basis
     for k, t in enumerate(stages[1:], 1):
         if t.basis is not basis and t.basis != basis:
             raise BasisMismatch(f"stage {k} is over {t.basis}, not {basis}")
-        total = t.matrix @ total
-    return ModeTransform(basis, total)
+    return ModeTransform(basis, tuple(m for t in stages for m in t.maps))
 
 
 def verify_unitary(t: ModeTransform, tol: float = 1e-12) -> bool:
-    """True iff max |T^dag T - I| entry is below tol."""
+    """True iff max |C^dag C - I| over the slot columns C is below tol."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    gram = t.matrix.conj().T @ t.matrix
-    return bool(np.max(np.abs(gram - np.eye(len(gram)))) < tol)
+    cols = [dict(t.column(k)) for k in range(len(t.basis.slots))]
+    gram = [[sum(a[i].conjugate() * v for i, v in b.items() if i in a) for b in cols] for a in cols]
+    return max(abs(g - (j == k)) for j, row in enumerate(gram) for k, g in enumerate(row)) < tol

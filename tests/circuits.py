@@ -2,7 +2,8 @@
 
 Each file is parsed and compiled once, and every table comes from the
 steps ``cli._runner`` takes: ``execute`` at a phase point (the
-``{name: radians}`` binding keyed by ``experiments.PHASES``),
+``{name: radians}`` binding keyed by ``experiments.PHASES``; ``stages``
+lists the stages it runs there),
 ``detector_distribution``, and ``coincidence_table`` over the parties'
 ``rebin`` parts.  Tests import this module by bare name, as they import
 ``reference``.
@@ -26,6 +27,14 @@ _KINDS = {"path": "external", "spin": "internal"}
 def compiled(name: str):
     """The bundled file ``<name>.cdl`` (``hh_fermion``, ``swap``, ...), compiled once."""
     return compile_circuit(parse_source((EXAMPLES / f"{name}.cdl").read_text()))
+
+
+def stages(circuit, phases: dict) -> list:
+    """The element stages ``execute`` runs at one phase point, `$name` phases bound."""
+    out = list(circuit.stages)
+    for k, name, port in circuit.params:
+        out[k] = circuit.bind(port, float(phases.get(name, 0.0)))
+    return out
 
 
 def readout(circuit, phases: dict) -> dict:

@@ -14,9 +14,16 @@ is re-ordered with ``canonicalize``.  It shares no code with
 
 ``DenseTransform`` reads a full-basis matrix as a transform: the
 ``basis``, ``column(k)`` and ``columns`` duck type that ``substitute``
-documents.  An ``elements.ModeTransform`` is one slot matrix acting alike
-on every species, so tests that feed ``substitute`` a species-mixing map
-use this instead.
+documents.  An ``elements.ModeTransform`` is a sequence of slot maps
+acting alike on every species, so tests that feed ``substitute`` a
+species-mixing map use this instead.
+
+``dense(t)`` is a transform's slot matrix, column k read from
+``t.column(k)``, and ``dense_product`` multiplies the stages' slot
+matrices with numpy, later stages on the left: the product that
+``elements.compose`` leaves to the column push.  ``from_matrix`` goes the
+other way, one slot map holding every column of a slot matrix, for tests
+that feed ``substitute`` a given unitary.
 
 ``reference_coincidence_table`` tabulates term by term: a monomial of
 two operators lands in cell (i, j) when exactly one of its modes' slots
@@ -45,7 +52,7 @@ import numpy as np
 from fockflow.algebra import VACUUM, Mode, Monomial, StateVector, Statistics, norm_squared
 from fockflow.analysis import CoincidenceTable
 from fockflow.cdl.lexer import KEYWORDS, LexError, Token, _constant
-from fockflow.elements import COLUMN_DROP_TOLERANCE
+from fockflow.elements import COLUMN_DROP_TOLERANCE, ModeTransform
 
 
 def canonicalize(ops, statistics: Statistics):
@@ -119,6 +126,31 @@ class DenseTransform:
     @property
     def columns(self) -> tuple:
         return tuple(self.column(k) for k in range(len(self.basis)))
+
+
+def dense(t) -> np.ndarray:
+    """The slot matrix of a transform: column k holds ``t.column(k)``."""
+    n = len(t.basis.slots)
+    u = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        for row, v in t.column(k):
+            u[row, k] = v
+    return u
+
+
+def dense_product(stages) -> np.ndarray:
+    """The stages' slot matrices multiplied by numpy, the first stage on the right."""
+    total = dense(stages[0])
+    for t in stages[1:]:
+        total = dense(t) @ total
+    return total
+
+
+def from_matrix(basis, u) -> ModeTransform:
+    """The transform of one slot map that sends every slot k to column k of ``u``."""
+    n = len(basis.slots)
+    images = {k: tuple((r, complex(u[r, k])) for r in range(n) if u[r, k] != 0) for k in range(n)}
+    return ModeTransform(basis, (images,))
 
 
 def reference_substitute(state, transform):

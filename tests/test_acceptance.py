@@ -46,6 +46,7 @@ from fockflow.cdl import (
     tokenize,
 )
 from fockflow.elements import (
+    COLUMN_DROP_TOLERANCE,
     beam_splitter,
     compose,
     dof_sorter,
@@ -67,7 +68,14 @@ from fockflow.experiments import (
     sorter_cascade,
 )
 import circuits
-from reference import apply_creation, canonicalize, reference_decode, reference_substitute
+from reference import (
+    apply_creation,
+    canonicalize,
+    dense,
+    dense_product,
+    reference_decode,
+    reference_substitute,
+)
 
 TOL_EXACT = 1e-12
 TOL_TABLE = 1e-9
@@ -444,6 +452,16 @@ class TestCircuitLanguage:
             want = run_circuit(reference, stats, s).final_state
             assert circuits.state_deviation(got, want) < TOL_EXACT, (name, s)
             assert got.terms == want.terms, (name, s)  # bit for bit
+
+    def test_the_column_push_is_the_dense_product_on_every_bundled_file(self):
+        # run_circuit composes by the same push, so numpy's product is the other side
+        for name in self.bundled():
+            circuit = circuits.compiled(name.removesuffix(".cdl"))
+            for s in self.POINTS:
+                stages = circuits.stages(circuit, s)
+                want = dense_product(stages)
+                want[abs(want) <= COLUMN_DROP_TOLERANCE] = 0.0
+                assert np.array_equal(dense(compose(stages)), want), (name, s)  # bit for bit
 
     def test_round_trip_identity_on_all_bundled_sources(self):
         for name in self.bundled():

@@ -29,12 +29,13 @@ from fockflow.algebra import (
     substitute,
     vacuum,
 )
-from fockflow.elements import ModeTransform, identity, hybrid_beam_splitter
+from fockflow.elements import identity, hybrid_beam_splitter
 from reference import (
     DenseTransform,
     _grouped,
     apply_creation,
     canonicalize,
+    from_matrix,
     reference_substitute,
 )
 
@@ -328,7 +329,7 @@ class TestSubstitute:
         st = vacuum(stats)
         for k in reversed(inputs):
             st = apply_creation(st, basis.modes[k])
-        out = substitute(st, ModeTransform(basis, u))
+        out = substitute(st, from_matrix(basis, u))
         assert norm_squared(out) == pytest.approx(1.0, abs=1e-12)
         index = {m.order_key(): k for k, m in enumerate(basis.modes)}
         got = {

@@ -37,8 +37,10 @@ from fockflow.cdl import (
     tokenize,
 )
 from fockflow.cdl.compiler import BOUND_STAGE_CAP
+from fockflow.elements import compose
 from fockflow.experiments import TABLE_KINDS
-from reference import apply_creation, reference_tokenize
+import circuits
+from reference import apply_creation, dense, dense_product, reference_tokenize
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ROOT / "src" / "fockflow" / "examples"
@@ -778,3 +780,14 @@ class TestGeneratedCircuits:
             code, err = main(command, str(path), *flags)
             assert code in (0, 2, 3), (command, flags, err)
             assert code == 0 or err, (command, flags)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(source=cdl_sources(), phase=st.floats(-2 * math.pi, 2 * math.pi))
+    def test_the_column_push_is_the_dense_product(self, source, phase):
+        try:
+            compiled = compile_circuit(parse_source(source))
+        except ValueError:
+            return
+        stages = circuits.stages(compiled, dict.fromkeys((n for _, n, _ in compiled.params), phase))
+        if stages:
+            assert abs(dense(compose(stages)) - dense_product(stages)).max() <= 1e-12

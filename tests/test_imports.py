@@ -85,3 +85,11 @@ def test_check_sees_unused_and_exported_names():
 def test_check_honours_noqa_on_the_imported_name():
     source = "import os  # noqa: F401\nfrom .algebra import (\n    Mode,  # noqa: F401\n    Label,\n)\n"
     assert unused_imports(source) == ["Label"]
+
+
+@pytest.mark.parametrize("name", ["elements.py", "algebra.py"])
+def test_the_engine_imports_no_numpy(name):
+    tree = ast.parse((PACKAGE / name).read_text())
+    modules = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}
