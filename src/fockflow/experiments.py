@@ -37,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import ModeBasis, StateVector, Statistics, create, norm_squared, substitute
 from .elements import beam_splitter, compose, hybrid_beam_splitter, phase_shifter
 
@@ -192,10 +190,10 @@ def sorter_cascade(state: QubitState, dofs: int) -> dict:
     p0, p1 = state.born()
     # each DOF appends the least significant bit, so every string's product
     # multiplies its Born weights in bit order, first DOF first
-    probs = np.ones(1)
+    probs = [1.0]
     for _ in range(dofs):
-        probs = np.outer(probs, (p0, p1)).ravel()
-    return {k + 1: p for k, p in enumerate(probs.tolist()) if p > 0.0}
+        probs = [q * b for q in probs for b in (p0, p1)]
+    return {k + 1: p for k, p in enumerate(probs) if p > 0.0}
 
 
 def _one_of(dofs, copies):
@@ -231,7 +229,11 @@ def signaling_decode_mc(
     trials: int = 10**6,
     seed: int = 0,
 ):
-    """Monte Carlo mirror of signaling_decode_exact: (estimate, stderr)."""
+    """Monte Carlo mirror of signaling_decode_exact: (estimate, stderr).
+
+    The draws come from numpy's seeded ``Generator`` (``RNG_ID``), imported
+    here so that no other command loads numpy.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if dofs is not None and dofs > MAX_MC_DOFS:
@@ -245,6 +247,8 @@ def signaling_decode_mc(
         )
     if seed < 0:  # default_rng's own message names neither the seed nor its value
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     if dofs is not None:
         n = _one_of(dofs, copies)

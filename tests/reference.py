@@ -31,6 +31,12 @@ lies in bin i of party A and one in bin j of party B, with Born weight
 |a|^2 prod n_k! / norm^2.  ``analysis.coincidence_table`` reads the
 species-blind ``detector_distribution`` instead.
 
+``closed_form_table`` evaluates the analytic cos^2/sin^2 chequers of the
+hyper-hybrid tables directly from the phase point, sharing no matrix or
+state machinery with the simulator, so agreement between the two is a
+genuine cross-check rather than a tautology.  ``factorization_residual``
+measures how far a joint table is from the product of its marginals.
+
 ``reference_decode`` sums the signaling-decode probability exactly, with
 rational arithmetic, over every readout string (2^n of them), where
 ``experiments.signaling_decode_exact`` uses the closed form.
@@ -43,6 +49,7 @@ constant folder ``_constant``.
 """
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,6 +197,57 @@ def reference_coincidence_table(state, part_a, part_b):
         if len(a_idx) == 1 and len(b_idx) == 1 and len(units) == 2:
             probs[a_idx[0], b_idx[0]] += abs(amp) ** 2 * mono.norm_factor() / n2
     return CoincidenceTable(part_a.labels(), part_b.labels(), probs)
+
+
+_PATH_ROWS = ("D", "L")
+_PATH_COLS = ("R", "U")
+_SPIN = ("down", "up")
+
+
+def closed_form_table(kind: str, statistics: Statistics, phases, row_labels=None, col_labels=None):
+    """Analytic coincidence table, the simulator's independent cross-check.
+
+    ``phases`` is a phase point, the binding ``cdl.execute`` takes: a
+    missing name is 0.0.  The analyzer angle is theta = (phiD - phiL)/2 -
+    (phiR - phiU)/2 for fermions, shifted by +pi/2 for bosons (the
+    exchange-phase difference between the two statistics).  Tables are the
+    1/4 cos^2 / sin^2 chequers over that single angle.
+    """
+    phi_l, phi_d, phi_r, phi_u = (phases.get(k, 0.0) for k in ("phiL", "phiD", "phiR", "phiU"))
+    if statistics is Statistics.FERMION:
+        half_b = (phi_r - phi_u) / 2.0
+    elif statistics is Statistics.BOSON:
+        half_b = (phi_r - phi_u) / 2.0 - math.pi / 2.0
+    else:
+        raise ValueError("closed form exists only for boson or fermion statistics")
+    theta = (phi_d - phi_l) / 2.0 - half_b
+    c = 0.25 * math.cos(theta) ** 2
+    s = 0.25 * math.sin(theta) ** 2
+    chequer = {
+        "path-path": ([[c, s], [s, c]], _PATH_ROWS, _PATH_COLS),
+        "spin-spin": ([[s, c], [c, s]], _SPIN, _SPIN),
+        "spin-path": ([[s, c], [c, s]], _SPIN, _PATH_COLS),
+        "path-spin": ([[c, s], [s, c]], _PATH_ROWS, _SPIN),
+    }
+    if kind not in chequer:
+        raise ValueError(f"unknown table kind {kind!r}")
+    cells, rows, cols = chequer[kind]
+    return CoincidenceTable(tuple(row_labels or rows), tuple(col_labels or cols), cells)
+
+
+def factorization_residual(table) -> float:
+    """Distance of a joint table from the product of its own marginals.
+
+    Zero means the two tabulated variables are statistically independent;
+    for the swap circuit this is the witness that one party's internal and
+    external readouts carry no mutual correlation.
+    """
+    m = np.asarray(getattr(table, "probs", table), dtype=float)
+    total = m.sum()
+    if total <= 0:
+        raise ValueError("table has no mass")
+    predicted = np.outer(m.sum(axis=1), m.sum(axis=0)) / total
+    return float(np.max(np.abs(m - predicted)))
 
 
 def reference_decode(dofs=None, copies=None) -> float:

@@ -24,14 +24,17 @@ from fockflow.analysis import (
     ZeroCoincidenceMass,
     chsh_grid_search,
     chsh_value,
-    closed_form_table,
     coincidence_table,
     completeness,
     correlation,
-    factorization_residual,
 )
 from fockflow.elements import beam_splitter, compose, hybrid_beam_splitter, phase_shifter
-from reference import apply_creation, reference_coincidence_table
+from reference import (
+    apply_creation,
+    closed_form_table,
+    factorization_residual,
+    reference_coincidence_table,
+)
 
 PORTS = ("L", "D", "R", "U")
 BASIS = ModeBasis(internals=("down", "up"), externals=PORTS)
@@ -54,7 +57,7 @@ class TestCorrelation:
     def test_sign_relabeling_symmetry(self):
         # flipping every sign and swapping both parties' bin order leaves E alone
         t = table_from_E(0.6)
-        flipped = CoincidenceTable(("L", "D"), ("U", "R"), t.probs[::-1, ::-1])
+        flipped = CoincidenceTable(("L", "D"), ("U", "R"), np.asarray(t.probs)[::-1, ::-1])
         assert correlation(t) == pytest.approx(correlation(flipped))
 
     def test_missing_sign_label(self):
@@ -116,8 +119,8 @@ class TestClosedForm:
         for kind in ("path-path", "spin-spin", "spin-path", "path-spin"):
             for stats in (Statistics.FERMION, Statistics.BOSON):
                 t = closed_form_table(kind, stats, s)
-                assert np.allclose(t.probs.sum(axis=1), 0.25)
-                assert np.allclose(t.probs.sum(axis=0), 0.25)
+                assert np.allclose(np.asarray(t.probs).sum(axis=1), 0.25)
+                assert np.allclose(np.asarray(t.probs).sum(axis=0), 0.25)
 
     def test_no_closed_form_for_distinguishable(self):
         with pytest.raises(ValueError):
@@ -157,13 +160,40 @@ class TestCoincidenceTable:
         t = coincidence_table(detector_distribution(st)[0], part_a, part_b)
         assert t.total() == 0.0
 
+    def test_total_is_numpy_sum_to_the_bit(self):
+        # 1x1 to 16x16: a plain loop, eight lanes (8 to 128 cells) and halves
+        # above 128 cells; magnitudes from 1e-8 to 1e8 make the order show
+        rng = np.random.default_rng(2024)
+        plain_misses = 0
+        for rows in range(1, 17):
+            for cols in range(1, 17):
+                for _ in range(4):
+                    cells = rng.random((rows, cols)) * 10.0 ** rng.integers(-8, 9, (rows, cols))
+                    t = CoincidenceTable(tuple(range(rows)), tuple(range(cols)), cells)
+                    assert t.total() == float(np.sum(cells))
+                    plain = 0.0
+                    for p in cells.ravel().tolist():
+                        plain += p
+                    plain_misses += plain != t.total()
+        assert plain_misses > 0  # the data tells numpy's order from a left-to-right sum
+
+    def test_cells_are_rows_of_floats(self):
+        t = CoincidenceTable(("D", "L"), ("R", "U"), np.array([[0.5, 0.0], [0.0, 0.5]]))
+        assert t.probs == ((0.5, 0.0), (0.0, 0.5))
+        assert all(type(p) is float for row in t.probs for p in row)
+
+    @pytest.mark.parametrize("cells", [[0.5, 0.5], [[0.5], [0.5, 0.0]], np.zeros((2, 3)), 0.5])
+    def test_cells_must_match_the_labels(self, cells):
+        with pytest.raises(ValueError, match="shape"):
+            CoincidenceTable(("D", "L"), ("R", "U"), cells)
+
     def test_coincidence_cell_placement(self):
         st = vacuum(Statistics.FERMION)
         st = apply_creation(st, BASIS.mode("down", "D"))
         st = apply_creation(st, BASIS.mode("up", "U"))
         part_a, part_b = self.partitions()
         t = coincidence_table(detector_distribution(st)[0], part_a, part_b)
-        assert t.probs[t.row_labels.index("D"), t.col_labels.index("U")] == pytest.approx(1.0)
+        assert np.asarray(t.probs)[t.row_labels.index("D"), t.col_labels.index("U")] == pytest.approx(1.0)
         assert t.total() == pytest.approx(1.0)
 
     def test_overlapping_parties_rejected(self):
@@ -307,5 +337,5 @@ class TestDetectorReadout:
         got = coincidence_table(probs, part_a, part_b)
         want = reference_coincidence_table(state, part_a, part_b)
         assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
-        assert np.max(np.abs(got.probs - want.probs)) < 1e-12
+        assert np.max(np.abs(np.asarray(got.probs) - np.asarray(want.probs))) < 1e-12
         assert abs(completeness(probs) - 1.0) < 1e-12

@@ -229,6 +229,22 @@ class TestTolerance:
         assert (code, out) == (3, "")
         assert "norm^2 = 0" in err
 
+    @pytest.mark.parametrize("poison", ["norm", "cells"])
+    def test_nan_fails_the_invariant_checks(self, capsys, monkeypatch, poison):
+        # |nan - 1| > tolerance is False too, so each check must ask for <=
+        readout = cli.detector_distribution
+
+        def poisoned(state):
+            probs, n2 = readout(state)
+            if poison == "norm":
+                return probs, math.nan
+            return dict.fromkeys(probs, math.nan), n2
+
+        monkeypatch.setattr(cli, "detector_distribution", poisoned)
+        code, out, err = run(capsys, "table", "hh")
+        assert (code, out) == (3, "")
+        assert ("norm^2 = nan" if poison == "norm" else "sum to nan") in err
+
 
 class TestChsh:
     def test_fermion_default_quadruple(self, capsys):

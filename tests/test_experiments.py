@@ -9,11 +9,9 @@ import pytest
 from fockflow.algebra import Statistics, detector_distribution, norm_squared
 from fockflow.analysis import (
     chsh_value,
-    closed_form_table,
     coincidence_table,
     completeness,
     correlation,
-    factorization_residual,
 )
 from fockflow.cdl import compile_circuit, parse_source, rebin
 from fockflow.cli import main
@@ -33,7 +31,7 @@ from fockflow.experiments import (
     sorter_cascade,
 )
 from circuits import EXAMPLES, compiled, occupations, parts, readout, runner, table
-from reference import canonicalize
+from reference import canonicalize, closed_form_table, factorization_residual
 
 SETTINGS = dict(zip(PHASES, (0.3, 1.1, 2.0, 0.7)))
 TABLE_KINDS = ("path-path", "spin-spin", "spin-path", "path-spin")
@@ -182,7 +180,7 @@ class TestSwapCircuit:
         hh = compiled("hh_fermion")
         probs = readout(hh, SETTINGS)
         for party in ("A", "B"):
-            assert occupations(hh, probs, party).probs.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.asarray(occupations(hh, probs, party).probs).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSwapUnderOtherStatistics:
@@ -214,7 +212,7 @@ class TestSwapUnderOtherStatistics:
         bins = parts(circuit, "spin-path")
         worst = 0.0
         for point in itertools.product(GRID_9, repeat=4):
-            got = coincidence_table(readout(circuit, dict(zip(PHASES, point))), *bins).probs
+            got = np.asarray(coincidence_table(readout(circuit, dict(zip(PHASES, point))), *bins).probs)
             worst = max(worst, float(np.max(np.abs(got - 0.125))))
         assert worst < 1e-12
 
@@ -306,6 +304,19 @@ class TestClonesAndCascade:
         got = sorter_cascade(state, dofs)
         assert type(got) is dict
         assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize(
+        "state", [Z_ZERO, Z_ONE, X_PLUS, X_MINUS, QubitState(0.6, 0.8)],
+        ids=["z0", "z1", "x+", "x-", "0.6-0.8"],
+    )
+    @pytest.mark.parametrize("dofs", range(1, 17))
+    def test_cascade_matches_the_numpy_outer_chain(self, state, dofs):
+        # numpy's outer-product chain; products are correctly rounded, so the bits agree
+        probs = np.ones(1)
+        for _ in range(dofs):
+            probs = np.outer(probs, state.born()).ravel()
+        want = {k + 1: p for k, p in enumerate(probs.tolist()) if p > 0.0}
+        assert list(sorter_cascade(state, dofs).items()) == list(want.items())
 
 
 class TestSignaling:

@@ -1,7 +1,7 @@
 """Golden CLI outputs for the bundled circuits.
 
-Every ``table``, ``chsh``, ``sweep`` and ``cascade`` command below must
-print, byte for byte, the text or ``--json`` output stored under
+Every ``table``, ``chsh``, ``sweep``, ``signal`` and ``cascade`` command
+below must print, byte for byte, the text or ``--json`` output stored under
 ``tests/golden/``. The circuit commands run on the bundled ``.cdl`` files
 must print the same bytes, apart from the circuit argument echoed in the
 text header.
@@ -60,6 +60,13 @@ CASCADES = [
     for state in ("z0", "x+", "x-")
     for json in ((), ("--json",))
 ]
+# the seeded Monte Carlo records pin numpy's Generator stream as well
+SIGNALS = [
+    ("signal", variant, count, *mc, *json)
+    for variant, count in (("--dofs", "3"), ("--copies", "4"))
+    for mc in ((), ("--mc", "20000", "--seed", "7"))
+    for json in ((), ("--json",))
+]
 
 
 def golden_path(argv) -> Path:
@@ -89,7 +96,7 @@ def as_file_command(argv):
     return argv
 
 
-@pytest.mark.parametrize("argv", COMMANDS + CASCADES, ids=lambda argv: " ".join(argv))
+@pytest.mark.parametrize("argv", COMMANDS + CASCADES + SIGNALS, ids=lambda argv: " ".join(argv))
 def test_named_circuit_output_is_unchanged(argv):
     assert run(argv) == golden_path(argv).read_text()
 
@@ -105,7 +112,7 @@ def test_bundled_file_prints_what_its_name_prints(argv):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for argv in COMMANDS + CASCADES:
+    for argv in COMMANDS + CASCADES + SIGNALS:
         path = golden_path(argv)
         if not path.exists():
             path.write_text(run(argv))

@@ -2,10 +2,16 @@
 
 Every import is used or exported (read with the standard library's ``ast``),
 and every name a module exports in ``__all__`` exists once it is imported.
+No package module imports numpy when it is loaded, and each CLI command
+but ``signal --mc`` and ``chsh --search`` runs, in a fresh interpreter,
+without loading it.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -93,3 +99,77 @@ def test_the_engine_imports_no_numpy(name):
     modules = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
     assert not {m for m in modules if m.split(".")[0] == "numpy"}
+
+
+def imports_at_load(source: str) -> set[str]:
+    """Top-level packages a module imports when it is itself imported.
+
+    An import inside a function body runs only when the function is called,
+    so it is skipped; relative imports name the package itself.
+    """
+    found = set()
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_load_check_skips_function_bodies():
+    source = (
+        "import os.path\nfrom . import algebra\nclass A:\n    import json\n"
+        "def f():\n    import numpy as np\nif True:\n    from math import pi\n"
+    )
+    assert imports_at_load(source) == {"os", "json", "math"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=_source_id)
+def test_no_module_imports_numpy_at_load(path):
+    assert "numpy" not in imports_at_load(path.read_text())
+
+
+# numpy loads only for ``signal --mc`` and ``chsh --search``
+WITHOUT_NUMPY = [
+    ["table", "hh"],
+    ["table", "swap"],
+    ["chsh", "hh", "--dials", "0,1,2,3"],
+    ["sweep", "hh", "--steps", "2"],
+    ["check", str(PACKAGE / "examples" / "hh_fermion.cdl")],
+    ["cascade"],
+    ["signal", "--dofs", "3"],
+]
+WITH_NUMPY = [["signal", "--dofs", "3", "--mc", "10"], ["chsh", "hh", "--search"]]
+_PROBE = (
+    "import contextlib, io, sys\n"
+    "from fockflow.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
+
+
+def _numpy_loaded(argv) -> bool:
+    path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    code, loaded = done.stdout.split()
+    assert code == "0", done.stderr
+    return loaded == "True"
+
+
+@pytest.mark.parametrize("argv", WITHOUT_NUMPY, ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_command_runs_without_numpy(argv):
+    assert not _numpy_loaded(argv)
+
+
+@pytest.mark.parametrize("argv", WITH_NUMPY, ids=" ".join)
+def test_probe_sees_numpy_where_it_loads(argv):
+    assert _numpy_loaded(argv)
