@@ -16,9 +16,10 @@ ordering convention, so that order is frozen here once; detector
 probabilities never depend on it.
 
 Stored coefficients are taken relative to raw operator products, not
-normalized number states.  ``amplitude`` converts to the normalized-ket
-convention by multiplying with sqrt(prod n_k!), which is what makes
-outcome probabilities of multiply-occupied bosonic modes sum to one.
+normalized number states, so the ket of a multiply-occupied bosonic
+monomial has norm sqrt(prod n_k!).  That factor enters through the Born
+weight |a|^2 prod n_k! that ``detector_distribution`` and ``norm_squared``
+give each term, which is what makes outcome probabilities sum to one.
 """
 
 from __future__ import annotations
@@ -38,14 +39,10 @@ __all__ = [
     "StateVector",
     "UnknownMode",
     "ZeroNorm",
-    "VACUUM",
-    "vacuum",
     "create",
     "substitute",
-    "amplitude",
     "norm_squared",
     "detector_distribution",
-    "add",
     "scale",
 ]
 
@@ -101,10 +98,7 @@ class Mode:
     def __reduce__(self):  # rebuild, so the hash is taken in the loading process
         return Mode, (self.species, self.internal, self.external)
 
-    def order_key(self) -> tuple[int, int, int]:
-        return (self.species, self.external.index, self.internal.index)
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
+    def __str__(self) -> str:
         tag = f"{self.internal.name},{self.external.name}"
         if self.species != INDISTINCT_SPECIES:
             tag = f"{self.species}:{tag}"
@@ -116,13 +110,14 @@ class ModeBasis:
     """The declared label sets and the ordered mode list they generate.
 
     ``modes`` enumerates every (species, internal, external) combination in
-    canonical ``order_key`` order, whatever order ``species`` is declared
-    in, so a basis index is a canonical rank; a transform's columns and
-    their rows are indexed by it.  ``modes`` is one block per species, each
-    block listing the same (internal, external) slots; ``slots`` maps a slot's
-    (internal name, external name) to its position inside every block.
-    ``monomial`` memoizes the monomials it builds from basis indices, one
-    per occupation pattern of the basis, outside equality.
+    canonical (species, external index, internal index) order, whatever
+    order ``species`` is declared in, so a basis index is a canonical rank;
+    a transform's columns and their rows are indexed by it.  ``modes`` is
+    one block per species, each block listing the same (internal, external)
+    slots; ``slots`` maps a slot's (internal name, external name) to its
+    position inside every block.  ``monomial`` memoizes the monomials it
+    builds from basis indices, one per occupation pattern of the basis,
+    outside equality.
     """
 
     internals: tuple[str, ...]
@@ -239,15 +234,6 @@ class Monomial:
         """The sorted (external index, internal index) slots, one per particle."""
         return tuple(sorted((m.external.index, m.internal.index) for m in self.ops()))
 
-    def is_canonical(self) -> bool:
-        keys = [m.order_key() for m, _ in self.entries]
-        return all(a < b for a, b in zip(keys, keys[1:])) and all(
-            occ >= 1 for _, occ in self.entries
-        )
-
-
-VACUUM = Monomial(())
-
 
 @dataclass
 class StateVector:
@@ -267,10 +253,6 @@ class StateVector:
         }
 
 
-def vacuum(statistics: Statistics) -> StateVector:
-    return StateVector(statistics, {VACUUM: 1.0 + 0.0j})
-
-
 def _left_multiply(amp, columns, statistics: Statistics) -> dict:
     """``amp`` times the product of ``columns``, leftmost first, on the vacuum.
 
@@ -278,9 +260,10 @@ def _left_multiply(amp, columns, statistics: Statistics) -> dict:
     operator's expansion.  The columns are applied right to left: every
     partial product is left-multiplied by the next column and like partial
     products merge before the following one.  Partial products are sorted
-    tuples of basis indices, which are canonical (``order_key``) ranks, so
-    a left insertion at position p crosses p operators: fermions pick up
-    (-1)**p and vanish on a repeated rank, other statistics just insert.
+    tuples of basis indices, which are canonical ranks in (species, external
+    index, internal index) order, so a left insertion at position p crosses
+    p operators: fermions pick up (-1)**p and vanish on a repeated rank,
+    other statistics just insert.
     This is the one reordering rule; returns {rank tuple: weight}.
     """
     fermion = statistics is Statistics.FERMION
@@ -347,19 +330,6 @@ def substitute(state: StateVector, transform) -> StateVector:
     return StateVector(state.statistics, out)
 
 
-def amplitude(state: StateVector, outcome: Monomial) -> complex:
-    """Projection onto a normalized outcome ket.
-
-    The stored coefficient multiplies a raw operator product, whose ket has
-    norm sqrt(prod n_k!); the amplitude against the *normalized* basis bra
-    is therefore coefficient * sqrt(prod n_k!).
-    """
-    if not outcome.is_canonical():
-        raise ValueError(f"outcome monomial is not canonical: {outcome!r}")
-    coeff = state.terms.get(outcome, 0.0)
-    return complex(coeff) * math.sqrt(outcome.norm_factor())
-
-
 def norm_squared(state: StateVector) -> float:
     return sum(abs(a) ** 2 * m.norm_factor() for m, a in state.terms.items())
 
@@ -387,15 +357,6 @@ def detector_distribution(state: StateVector) -> tuple[dict, float]:
     if n2 <= 0.0:
         raise ZeroNorm("state has zero norm")
     return {p: weights[p] / n2 for p in sorted(weights)}, n2
-
-
-def add(a: StateVector, b: StateVector) -> StateVector:
-    if a.statistics is not b.statistics:
-        raise ValueError("cannot add states with different statistics")
-    terms = dict(a.terms)
-    for m, amp in b.terms.items():
-        terms[m] = terms.get(m, 0.0) + amp
-    return StateVector(a.statistics, terms)
 
 
 def scale(state: StateVector, factor: complex) -> StateVector:

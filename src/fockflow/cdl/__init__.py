@@ -1,4 +1,4 @@
-"""Circuit description language: lex, parse, compile, pretty-print."""
+"""Circuit description language: lex, parse, compile."""
 
 from .compiler import CompiledCircuit, compile_circuit, execute, rebin
 from .lexer import KEYWORDS, LexError, Token, tokenize
@@ -20,7 +20,6 @@ from .parser import (
     parse,
     parse_source,
 )
-from .printer import pretty_print
 
 __all__ = [
     "BinDecl",
@@ -45,7 +44,6 @@ __all__ = [
     "execute",
     "parse",
     "parse_source",
-    "pretty_print",
     "rebin",
     "tokenize",
 ]

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..algebra import Statistics
 from .lexer import KEYWORDS, Token, tokenize
 
-STATISTICS_NAMES = ("boson", "fermion", "distinguishable")
+STATISTICS_NAMES = tuple(s.value for s in Statistics)
 PARTIES = ("A", "B")
 
 

@@ -47,7 +47,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import ZeroNorm, detector_distribution
+from .algebra import Statistics, ZeroNorm, detector_distribution
 from .analysis import (
     DEFAULT_SIGNS,
     ZeroCoincidenceMass,
@@ -86,7 +86,7 @@ MAX_CASCADE_DOFS = 16  # sorter_cascade tabulates 2^dofs outcome strings
 _EXAMPLES = Path(__file__).resolve().parent / "examples"
 _KINDS = {"path": "external", "spin": "internal"}
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
-_STATS = ("boson", "distinguishable", "fermion")
+_STATS = tuple(sorted(s.value for s in Statistics))
 _CLONE_STATES = {"z0": Z_ZERO, "z1": Z_ONE, "x+": X_PLUS, "x-": X_MINUS}
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "IncompleteRouting",
     "NotBijective",
     "BasisMismatch",
-    "identity",
     "phase_shifter",
     "beam_splitter",
     "hybrid_beam_splitter",
@@ -107,10 +106,6 @@ class ModeTransform:
     @property
     def columns(self) -> tuple:
         return tuple(self.column(m) for m in range(len(self.basis)))
-
-
-def identity(basis: ModeBasis) -> ModeTransform:
-    return _slot_element(basis, {})
 
 
 def _slot_element(basis: ModeBasis, moves: dict) -> ModeTransform:

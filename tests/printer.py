@@ -2,12 +2,13 @@
 
 Comments never survive a parse, so printing is lossy only in comments
 and layout. Numbers are printed with 17 significant digits; re-parsing
-recovers the exact double.
+recovers the exact double.  The round-trip tests print a parsed tree
+and parse the text again.
 """
 
 from __future__ import annotations
 
-from .parser import (
+from fockflow.cdl.parser import (
     CircuitSpecTree,
     ExchangeStmt,
     PhaseStmt,

@@ -1,10 +1,17 @@
 """Slow, direct computations kept as test oracles.
 
+``order_key`` is the canonical (species, external index, internal index)
+order of a mode, and ``is_canonical`` checks that a monomial lists its
+modes strictly increasing in it with positive occupations.  ``vacuum`` is
+the state |0> of a statistics and ``add`` sums two states term by term;
+tests build states from them.
+
 ``canonicalize`` is the reference's own reordering rule: an insertion
-sort over ``Mode`` objects that counts adjacent swaps, where the engine
-inserts basis indices with ``bisect``.  ``apply_creation`` left-multiplies
-a state by one creation operator through it; chains of it build the test
-states, and the initial states ``algebra.create`` must reproduce.
+sort over ``Mode`` objects by ``order_key`` that counts adjacent swaps,
+where the engine inserts basis indices with ``bisect``.
+``apply_creation`` left-multiplies a state by one creation operator
+through it; chains of it build the test states, and the initial states
+``algebra.create`` must reproduce.
 
 ``reference_substitute`` is the full distributive expansion of
 ``substitute``: every input monomial is expanded over the product of its
@@ -56,10 +63,32 @@ from fractions import Fraction
 
 import numpy as np
 
-from fockflow.algebra import VACUUM, Mode, Monomial, StateVector, Statistics, norm_squared
+from fockflow.algebra import Mode, Monomial, StateVector, Statistics, norm_squared
 from fockflow.analysis import CoincidenceTable
 from fockflow.cdl.lexer import KEYWORDS, LexError, Token, _constant
 from fockflow.elements import COLUMN_DROP_TOLERANCE, ModeTransform
+
+
+def order_key(mode: Mode) -> tuple[int, int, int]:
+    return (mode.species, mode.external.index, mode.internal.index)
+
+
+def is_canonical(mono: Monomial) -> bool:
+    keys = [order_key(m) for m, _ in mono.entries]
+    return all(a < b for a, b in zip(keys, keys[1:])) and all(occ >= 1 for _, occ in mono.entries)
+
+
+def vacuum(statistics: Statistics) -> StateVector:
+    return StateVector(statistics, {Monomial(()): 1.0 + 0.0j})
+
+
+def add(a: StateVector, b: StateVector) -> StateVector:
+    if a.statistics is not b.statistics:
+        raise ValueError("cannot add states with different statistics")
+    terms = dict(a.terms)
+    for m, amp in b.terms.items():
+        terms[m] = terms.get(m, 0.0) + amp
+    return StateVector(a.statistics, terms)
 
 
 def canonicalize(ops, statistics: Statistics):
@@ -79,7 +108,7 @@ def canonicalize(ops, statistics: Statistics):
         # insertion sort; each adjacent swap is one anticommutation
         for i in range(1, len(ops)):
             j = i
-            while j > 0 and ops[j].order_key() < ops[j - 1].order_key():
+            while j > 0 and order_key(ops[j]) < order_key(ops[j - 1]):
                 ops[j - 1], ops[j] = ops[j], ops[j - 1]
                 sign = -sign
                 j -= 1
@@ -87,7 +116,7 @@ def canonicalize(ops, statistics: Statistics):
             if a == b:
                 return 0, None
         return sign, Monomial(tuple((m, 1) for m in ops))
-    ops.sort(key=Mode.order_key)
+    ops.sort(key=order_key)
     return 1, _grouped(ops)
 
 
@@ -166,7 +195,7 @@ def reference_substitute(state, transform):
     out = {}
     for mono, amp in state.terms.items():
         if not mono.entries:
-            out[VACUUM] = out.get(VACUUM, 0.0) + amp
+            out[Monomial(())] = out.get(Monomial(()), 0.0) + amp
             continue
         expansions = [[(basis.modes[k], v) for k, v in columns[basis.index_of(m)]] for m in mono.ops()]
         for combo in itertools.product(*expansions):

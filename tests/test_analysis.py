@@ -15,7 +15,6 @@ from fockflow.algebra import (
     norm_squared,
     scale,
     substitute,
-    vacuum,
 )
 from fockflow.analysis import (
     CoincidenceTable,
@@ -34,6 +33,7 @@ from reference import (
     closed_form_table,
     factorization_residual,
     reference_coincidence_table,
+    vacuum,
 )
 
 PORTS = ("L", "D", "R", "U")

@@ -18,7 +18,6 @@ from fockflow.algebra import (
     detector_distribution,
     norm_squared,
     scale,
-    vacuum,
 )
 from fockflow.analysis import MeasurementPartition, completeness
 from fockflow.cdl import (
@@ -32,7 +31,6 @@ from fockflow.cdl import (
     execute,
     parse,
     parse_source,
-    pretty_print,
     rebin,
     tokenize,
 )
@@ -40,7 +38,8 @@ from fockflow.cdl.compiler import BOUND_STAGE_CAP
 from fockflow.elements import compose
 from fockflow.experiments import TABLE_KINDS
 import circuits
-from reference import apply_creation, dense, dense_product, reference_tokenize
+from printer import pretty_print
+from reference import apply_creation, dense, dense_product, reference_tokenize, vacuum
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ROOT / "src" / "fockflow" / "examples"

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockflow.algebra import ModeBasis, Statistics, UnknownMode, norm_squared, substitute, vacuum
+from fockflow.algebra import ModeBasis, Statistics, UnknownMode, norm_squared, substitute
 from fockflow.cdl import compile_circuit, execute, parse_source
 from fockflow.elements import (
     COLUMN_DROP_TOLERANCE,
@@ -16,24 +16,24 @@ from fockflow.elements import (
     DuplicatePort,
     IncompleteRouting,
     InternalSetNotBinary,
+    ModeTransform,
     NotBijective,
     beam_splitter,
     compose,
     dof_sorter,
     exchange_wiring,
     hybrid_beam_splitter,
-    identity,
     phase_shifter,
     verify_unitary,
 )
-from reference import apply_creation, dense, dense_product, from_matrix
+from reference import apply_creation, dense, dense_product, from_matrix, vacuum
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "fockflow" / "examples"
 BASIS = ModeBasis(internals=("down", "up"), externals=("L", "D", "R", "U"))
 
 
 CONSTRUCTORS = {
-    "identity": identity(BASIS),
+    "identity": ModeTransform(BASIS, ()),
     "phase D 0.37": phase_shifter(BASIS, "D", 0.37),
     "bs L U -> L U": beam_splitter(BASIS, "L", "U"),
     "bs L U -> R D": beam_splitter(BASIS, "L", "U", "R", "D"),
@@ -55,7 +55,7 @@ class TestUnitarity:
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
-            verify_unitary(identity(BASIS), 0.0)
+            verify_unitary(ModeTransform(BASIS, ()), 0.0)
 
 
 class TestPhaseShifter:
@@ -250,15 +250,15 @@ class TestCompose:
         assert np.max(np.abs(left - right)) < 1e-12
 
     def test_conflicting_label_order_rejected(self):
-        a = identity(ModeBasis(internals=("down", "up"), externals=("L", "R")))
-        b = identity(ModeBasis(internals=("down", "up"), externals=("R", "L")))
+        a = ModeTransform(ModeBasis(internals=("down", "up"), externals=("L", "R")), ())
+        b = ModeTransform(ModeBasis(internals=("down", "up"), externals=("R", "L")), ())
         with pytest.raises(BasisMismatch):
             compose([a, b])
 
     def test_stage_over_another_basis_rejected(self):
         small = ModeBasis(internals=("down", "up"), externals=("L", "D"))
         with pytest.raises(BasisMismatch, match="stage 1 is over"):
-            compose([identity(BASIS), beam_splitter(small, "L", "D")])
+            compose([ModeTransform(BASIS, ()), beam_splitter(small, "L", "D")])
 
     def test_composition_of_unitaries_is_unitary(self):
         stages = [

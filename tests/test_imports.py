@@ -1,7 +1,9 @@
 """Import checks over the package and its tests.
 
 Every import is used or exported (read with the standard library's ``ast``),
-and every name a module exports in ``__all__`` exists once it is imported.
+and every name a module exports in ``__all__`` exists once it is imported
+and is read by package code other than its own definition, so the package
+ships no name that only the tests call.
 No package module imports numpy when it is loaded, and each CLI command
 but ``signal --mc`` and ``chsh --search`` runs, in a fresh interpreter,
 without loading it.
@@ -58,6 +60,49 @@ def missing_exports(module) -> list[str]:
     return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
 
 
+def package_reads(source: str) -> set[str]:
+    """Names a module reads outside their own top-level definition.
+
+    A read is a loaded ``Name``, a name imported with ``from ... import``,
+    or an attribute of an imported name (``module.attr``).  A top-level
+    ``def`` or ``class`` reading its own name does not count.
+    """
+    tree = ast.parse(source)
+    imported = {
+        a.asname or a.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    }
+    reads = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in imported:
+                    names.add(node.attr)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        reads |= names
+    return reads
+
+
+# a package ``__init__`` only re-exports, so its imports are not reads
+READ_IN_PACKAGE = set().union(
+    *(package_reads(p.read_text()) for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+)
+# exported names that no package code reads, each with the reason it stays
+UNREAD_EXPORTS = {
+    "run_circuit": "the state-level reference criterion 9 compares the bundled files with; "
+    "bench/spans.py times it",
+    "verify_unitary": "the unitarity residual a run trace is to report; tests call it until then",
+}
+
+
 def _source_id(path: Path) -> str:
     return str(path.relative_to(PACKAGE if path.is_relative_to(PACKAGE) else ROOT))
 
@@ -70,6 +115,28 @@ def test_every_import_is_used_or_exported(path):
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_exists(name):
     assert missing_exports(importlib.import_module(name)) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_is_read_in_the_package(name):
+    exported = getattr(importlib.import_module(name), "__all__", ())
+    assert [n for n in exported if n not in READ_IN_PACKAGE and n not in UNREAD_EXPORTS] == []
+
+
+def test_unread_exports_are_exported_and_unread():
+    exported = {n for name in MODULES for n in getattr(importlib.import_module(name), "__all__", ())}
+    assert {n for n in UNREAD_EXPORTS if n in exported and n not in READ_IN_PACKAGE} == set(UNREAD_EXPORTS)
+
+
+def test_read_check_skips_a_name_inside_its_own_definition():
+    source = (
+        "from .algebra import Mode\nimport math\n"
+        "def f(n):\n    return f(n - 1) + g()\n"
+        "def g():\n    return math.pi\n"
+        "class C:\n    def m(self):\n        return C(), self.x\n"
+        "x = f\n"
+    )
+    assert package_reads(source) == {"Mode", "f", "g", "n", "math", "pi", "self"}
 
 
 def test_export_check_sees_a_stale_name():
