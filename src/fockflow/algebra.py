@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+
+from ._record import Record
 
 __all__ = [
     "Statistics",
@@ -65,32 +66,32 @@ class Statistics(Enum):
     DISTINGUISHABLE = "distinguishable"
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(Record):
     """A symbol from a declared finite ordered label set."""
 
-    name: str
-    index: int
+    _fields = ("name", "index")
+
+    def __init__(self, name: str, index: int) -> None:
+        d = self.__dict__
+        d["name"], d["index"] = name, index
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(Record):
     """One creation-operator slot: (species, internal label, external label).
 
     Species id 0 is reserved for indistinguishable particles; distinct
     distinguishable particles carry ids >= 1 and never interfere.  The hash
-    is the dataclass one, ``hash((species, internal, external))``, computed
-    once at construction, so keying a dict by a mode costs no ``Label``
-    hashes.
+    is that of the field tuple, ``hash((species, internal, external))``,
+    computed once at construction, so keying a dict by a mode costs no
+    ``Label`` hashes.
     """
 
-    species: int
-    internal: Label
-    external: Label
-    _hash: int = field(init=False, compare=False, repr=False)
+    _fields = ("species", "internal", "external")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.species, self.internal, self.external)))
+    def __init__(self, species: int, internal: Label, external: Label) -> None:
+        d = self.__dict__
+        d["species"], d["internal"], d["external"] = species, internal, external
+        d["_hash"] = hash((species, internal, external))
 
     def __hash__(self) -> int:
         return self._hash
@@ -105,8 +106,7 @@ class Mode:
         return f"({tag})"
 
 
-@dataclass(frozen=True)
-class ModeBasis:
+class ModeBasis(Record):
     """The declared label sets and the ordered mode list they generate.
 
     ``modes`` enumerates every (species, internal, external) combination in
@@ -116,35 +116,34 @@ class ModeBasis:
     one block per species, each block listing the same (internal, external)
     slots; ``slots`` maps a slot's (internal name, external name) to its
     position inside every block.  ``monomial`` memoizes the monomials it
-    builds from basis indices, one per occupation pattern of the basis,
-    outside equality.
+    builds from basis indices, one per occupation pattern of the basis.
+    Equality, hash and repr read only the three label sets.
     """
 
-    internals: tuple[str, ...]
-    externals: tuple[str, ...]
-    species: tuple[int, ...] = (INDISTINCT_SPECIES,)
-    modes: tuple[Mode, ...] = field(init=False, compare=False, repr=False)
-    slots: dict = field(init=False, compare=False, repr=False)
-    _index: dict = field(init=False, compare=False, repr=False)
-    _monomials: dict = field(init=False, compare=False, repr=False)
+    _fields = ("internals", "externals", "species")
 
-    def __post_init__(self) -> None:
-        for kind, labels in (("internal", self.internals), ("external", self.externals)):
+    def __init__(
+        self,
+        internals: tuple[str, ...],
+        externals: tuple[str, ...],
+        species: tuple[int, ...] = (INDISTINCT_SPECIES,),
+    ) -> None:
+        for kind, labels in (("internal", internals), ("external", externals)):
             if not labels:
                 raise ValueError(f"{kind} label set must be nonempty")
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate {kind} label in {labels!r}")
-        if len(set(self.species)) != len(self.species) or not self.species:
-            raise ValueError(f"species ids must be nonempty and unique: {self.species!r}")
-        ints = [Label(n, i) for i, n in enumerate(self.internals)]
-        exts = [Label(n, i) for i, n in enumerate(self.externals)]
+        if len(set(species)) != len(species) or not species:
+            raise ValueError(f"species ids must be nonempty and unique: {species!r}")
+        ints = [Label(n, i) for i, n in enumerate(internals)]
+        exts = [Label(n, i) for i, n in enumerate(externals)]
         block = [(il, el) for el in exts for il in ints]
-        modes = tuple(Mode(sp, il, el) for sp in sorted(self.species) for il, el in block)
-        object.__setattr__(self, "modes", modes)
-        slots = {(il.name, el.name): k for k, (il, el) in enumerate(block)}
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "_index", {m: k for k, m in enumerate(modes)})
-        object.__setattr__(self, "_monomials", {})
+        modes = tuple(Mode(sp, il, el) for sp in sorted(species) for il, el in block)
+        d = self.__dict__
+        d["internals"], d["externals"], d["species"] = internals, externals, species
+        d["modes"], d["_monomials"] = modes, {}
+        d["slots"] = {(il.name, el.name): k for k, (il, el) in enumerate(block)}
+        d["_index"] = {m: k for k, m in enumerate(modes)}
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -192,28 +191,25 @@ class ModeBasis:
         return mono
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """A canonical product of creation operators applied to the vacuum.
 
     ``entries`` holds (mode, occupation) pairs with modes strictly
     increasing; occupations exceed one only for bosons.  The empty tuple is
-    the vacuum.  The hash is the dataclass one, ``hash((entries,))``, read
-    from each mode's cached hash; it and the norm factor prod n_k! (over
-    occupations above one) are computed once at construction.
+    the vacuum.  The hash is that of the field tuple, ``hash((entries,))``,
+    read from each mode's cached hash; it and the norm factor prod n_k!
+    (over occupations above one) are computed once at construction.
     """
 
-    entries: tuple[tuple[Mode, int], ...]
-    _hash: int = field(init=False, compare=False, repr=False)
-    _norm_factor: int = field(init=False, compare=False, repr=False)
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.entries,)))
+    def __init__(self, entries: tuple[tuple[Mode, int], ...]) -> None:
         norm = 1
-        for _, occ in self.entries:
+        for _, occ in entries:
             if occ > 1:
                 norm *= math.factorial(occ)
-        object.__setattr__(self, "_norm_factor", norm)
+        d = self.__dict__
+        d["entries"], d["_hash"], d["_norm_factor"] = entries, hash((entries,)), norm
 
     def __hash__(self) -> int:
         return self._hash
@@ -235,22 +231,26 @@ class Monomial:
         return tuple(sorted((m.external.index, m.internal.index) for m in self.ops()))
 
 
-@dataclass
 class StateVector:
     """Sparse map from canonical monomials to complex amplitudes.
 
     Treated as immutable after construction; every operation returns a new
     state.  Amplitudes with magnitude below ``DEFAULT_PRUNE_TOLERANCE`` are
-    dropped on construction.
+    dropped on construction.  Two states are equal when their statistics
+    and terms are; a state is unhashable.
     """
 
-    statistics: Statistics
-    terms: dict
+    def __init__(self, statistics: Statistics, terms: dict) -> None:
+        self.statistics = statistics
+        self.terms = {m: complex(a) for m, a in terms.items() if abs(a) >= DEFAULT_PRUNE_TOLERANCE}
 
-    def __post_init__(self) -> None:
-        self.terms = {
-            m: complex(a) for m, a in self.terms.items() if abs(a) >= DEFAULT_PRUNE_TOLERANCE
-        }
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.statistics, self.terms) == (other.statistics, other.terms)
+
+    def __repr__(self) -> str:
+        return f"StateVector(statistics={self.statistics!r}, terms={self.terms!r})"
 
 
 def _left_multiply(amp, columns, statistics: Statistics) -> dict:

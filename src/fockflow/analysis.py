@@ -11,7 +11,7 @@ Tables are tuples of row tuples of Python floats.  numpy loads only when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._record import Record
 
 __all__ = [
     "MeasurementPartition",
@@ -42,55 +42,51 @@ class ZeroCoincidenceMass(ValueError):
     """Correlation requested from a table whose four cells are all zero."""
 
 
-@dataclass(frozen=True)
-class MeasurementPartition:
+class MeasurementPartition(Record):
     """One party's detector binning: ordered (label, slot set) pairs.
 
     A detector sees a slot, never a species: a slot is the (external index,
     internal index) pair that ``detector_distribution``'s patterns list, and
-    a bin is a set of slots.  ``slots`` maps each slot to its bin's index.
+    a bin is a set of slots.  ``slots`` maps each slot to its bin's index;
+    equality, hash and repr read only party, kind and bins.
     """
 
-    party: str
-    kind: str
-    bins: tuple
-    slots: dict = field(init=False, compare=False, repr=False)
+    _fields = ("party", "kind", "bins")
 
-    def __post_init__(self) -> None:
+    def __init__(self, party: str, kind: str, bins: tuple) -> None:
         slots: dict = {}
-        for i, (label, bin_slots) in enumerate(self.bins):
+        for i, (label, bin_slots) in enumerate(bins):
             for slot in bin_slots:
                 if not (type(slot) is tuple and len(slot) == 2 and all(type(k) is int for k in slot)):
                     raise ValueError(f"bin {label!r}: {slot!r} is not an (int, int) slot")
                 if slot in slots:
                     raise OverlappingPartitions(f"bin {label!r} overlaps an earlier bin")
                 slots[slot] = i
-        object.__setattr__(self, "slots", slots)
+        d = self.__dict__
+        d["party"], d["kind"], d["bins"], d["slots"] = party, kind, bins, slots
 
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.bins)
 
 
-@dataclass(frozen=True)
-class CoincidenceTable:
+class CoincidenceTable(Record):
     """Cell (i, j) is ``probs[i][j]``: a tuple of row tuples of floats.
 
     ``probs`` may be given as any 2-D nested sequence, an ndarray too.
     """
 
-    row_labels: tuple
-    col_labels: tuple
-    probs: tuple
+    _fields = ("row_labels", "col_labels", "probs")
 
-    def __post_init__(self) -> None:
-        shape = (len(self.row_labels), len(self.col_labels))
+    def __init__(self, row_labels: tuple, col_labels: tuple, probs) -> None:
+        shape = (len(row_labels), len(col_labels))
         try:
-            rows = tuple(tuple(map(float, row)) for row in self.probs)
+            rows = tuple(tuple(map(float, row)) for row in probs)
         except TypeError:  # not 2-D: a row is a number
             rows = None
         if rows is None or len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
             raise ValueError(f"table cells do not match the labels' shape {shape}")
-        object.__setattr__(self, "probs", rows)
+        d = self.__dict__
+        d["row_labels"], d["col_labels"], d["probs"] = row_labels, col_labels, rows
 
     def total(self) -> float:
         """The cells' sum in numpy's order, so it is ``np.sum(probs)`` to the bit.

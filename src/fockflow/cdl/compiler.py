@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable
 
+from .._record import Record
 from ..algebra import (
     ModeBasis,
     StateVector,
@@ -38,26 +37,35 @@ from .parser import (
 BOUND_STAGE_CAP = 256  # `$name` stages ``bind`` keeps per compiled circuit
 
 
-@dataclass(frozen=True)
-class CompiledCircuit:
+class CompiledCircuit(Record):
     """A circuit ready to run; ``execute`` binds its `$name` phases.
 
     ``stages`` holds one transform per element statement, with each `$name`
     phase compiled at 0.0.  ``params`` lists one (stage index, bare name,
-    port) per `$name` phase.  ``bind(port, value)``, outside equality, is
-    the phase stage at that port: ``phase_shifter`` over the circuit's
-    basis behind an LRU cache of the last ``BOUND_STAGE_CAP`` (port, value)
-    pairs.  The values 0.0 and -0.0 share an entry: their stages differ
-    only in the sign of a zero imaginary part, which no probability sees.
+    port) per `$name` phase.  ``partitions`` maps a party to its
+    ``MeasurementPartition``.  ``bind(port, value)`` is the phase stage at
+    that port: ``phase_shifter`` over the circuit's basis behind an LRU
+    cache of the last ``BOUND_STAGE_CAP`` (port, value) pairs.  The values
+    0.0 and -0.0 share an entry: their stages differ only in the sign of a
+    zero imaginary part, which no probability sees.  Equality, hash and
+    repr read every field but ``bind``.
     """
 
-    tree: CircuitSpecTree
-    basis: ModeBasis
-    initial: StateVector
-    stages: tuple[ModeTransform, ...]
-    partitions: dict  # party -> MeasurementPartition
-    params: tuple[tuple[int, str, str], ...]
-    bind: Callable[[str, float], ModeTransform] = field(compare=False, repr=False)
+    _fields = ("tree", "basis", "initial", "stages", "partitions", "params")
+
+    def __init__(
+        self,
+        tree: CircuitSpecTree,
+        basis: ModeBasis,
+        initial: StateVector,
+        stages: tuple[ModeTransform, ...],
+        partitions: dict,
+        params: tuple[tuple[int, str, str], ...],
+        bind,
+    ) -> None:
+        d = self.__dict__
+        d["tree"], d["basis"], d["initial"], d["stages"] = tree, basis, initial, stages
+        d["partitions"], d["params"], d["bind"] = partitions, params, bind
 
 
 def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 KEYWORDS = frozenset(
     "internal external statistics particle hbs bs phase sorter exchange measure bin".split()
@@ -53,15 +52,30 @@ class LexError(ValueError):
         self.col = col
 
 
-@dataclass(slots=True)
 class Token:
-    """A slotted record, neither frozen nor hashable; equality ignores ``value``."""
+    """A lexed token: mutable and unhashable; equality ignores ``value``, the repr shows it."""
 
-    kind: str  # keyword | identifier | number | punctuation | end
-    text: str
-    line: int
-    col: int
-    value: float | None = field(default=None, compare=False)
+    __slots__ = ("kind", "text", "line", "col", "value")
+
+    def __init__(self, kind: str, text: str, line: int, col: int, value: float | None = None):
+        self.kind = kind  # keyword | identifier | number | punctuation | end
+        self.text = text
+        self.line = line
+        self.col = col
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.text, self.line, self.col) == (
+            other.kind, other.text, other.line, other.col
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Token(kind={self.kind!r}, text={self.text!r}, line={self.line!r}, "
+            f"col={self.col!r}, value={self.value!r})"
+        )
 
 
 def tokenize(source: str) -> list[Token]:

@@ -25,8 +25,7 @@ tree compares equal to the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._record import Record
 from ..algebra import Statistics
 from .lexer import KEYWORDS, Token, tokenize
 
@@ -48,91 +47,115 @@ class SemanticError(ValueError):
         self.col = col
 
 
-def _pos(default=0):
-    return field(default=default, compare=False, repr=False)
+class LabelRef(Record):
+    """A label as written; ``line`` and ``col`` place it and take no part in equality."""
+
+    _fields = ("name",)
+
+    def __init__(self, name: str, line: int = 0, col: int = 0) -> None:
+        d = self.__dict__
+        d["name"], d["line"], d["col"] = name, line, col
 
 
-@dataclass(frozen=True)
-class LabelRef:
-    name: str
-    line: int = _pos()
-    col: int = _pos()
-
-
-@dataclass(frozen=True)
-class PhaseArg:
+class PhaseArg(Record):
     """Literal radians or a `$name` parameter (``param`` holds the bare name), bound at execute."""
 
-    value: float | None = None
-    param: str | None = None
+    _fields = ("value", "param")
+
+    def __init__(self, value: float | None = None, param: str | None = None) -> None:
+        d = self.__dict__
+        d["value"], d["param"] = value, param
 
 
-@dataclass(frozen=True)
-class Route:
-    src: LabelRef
-    dst: LabelRef
+class Route(Record):
+    _fields = ("src", "dst")
+
+    def __init__(self, src: LabelRef, dst: LabelRef) -> None:
+        d = self.__dict__
+        d["src"], d["dst"] = src, dst
 
 
-@dataclass(frozen=True)
-class ParticleDecl:
-    internal: LabelRef
-    external: LabelRef
+class ParticleDecl(Record):
+    _fields = ("internal", "external")
+
+    def __init__(self, internal: LabelRef, external: LabelRef) -> None:
+        d = self.__dict__
+        d["internal"], d["external"] = internal, external
 
 
-@dataclass(frozen=True)
-class SplitterStmt:
-    kind: str  # "hbs" | "bs"
-    in_a: LabelRef
-    in_b: LabelRef
-    out_t: LabelRef
-    out_r: LabelRef
+class SplitterStmt(Record):
+    _fields = ("kind", "in_a", "in_b", "out_t", "out_r")
+
+    def __init__(
+        self, kind: str, in_a: LabelRef, in_b: LabelRef, out_t: LabelRef, out_r: LabelRef
+    ) -> None:
+        d = self.__dict__
+        d["kind"] = kind  # "hbs" | "bs"
+        d["in_a"], d["in_b"], d["out_t"], d["out_r"] = in_a, in_b, out_t, out_r
 
 
-@dataclass(frozen=True)
-class PhaseStmt:
-    port: LabelRef
-    arg: PhaseArg
+class PhaseStmt(Record):
+    _fields = ("port", "arg")
+
+    def __init__(self, port: LabelRef, arg: PhaseArg) -> None:
+        d = self.__dict__
+        d["port"], d["arg"] = port, arg
 
 
-@dataclass(frozen=True)
-class SorterStmt:
-    selector: str  # "internal" | "external"
-    port: LabelRef | None
-    routes: tuple[Route, ...]
+class SorterStmt(Record):
+    _fields = ("selector", "port", "routes")
+
+    def __init__(self, selector: str, port: LabelRef | None, routes: tuple[Route, ...]) -> None:
+        d = self.__dict__
+        d["selector"], d["port"], d["routes"] = selector, port, routes  # selector: "internal" | "external"
 
 
-@dataclass(frozen=True)
-class ExchangeStmt:
-    routes: tuple[Route, ...]
+class ExchangeStmt(Record):
+    _fields = ("routes",)
+
+    def __init__(self, routes: tuple[Route, ...]) -> None:
+        self.__dict__["routes"] = routes
 
 
-@dataclass(frozen=True)
-class ModeAtom:
-    internal: LabelRef | None
-    external: LabelRef
+class ModeAtom(Record):
+    _fields = ("internal", "external")
+
+    def __init__(self, internal: LabelRef | None, external: LabelRef) -> None:
+        d = self.__dict__
+        d["internal"], d["external"] = internal, external
 
 
-@dataclass(frozen=True)
-class BinDecl:
-    label: LabelRef
-    atoms: tuple[ModeAtom, ...]
+class BinDecl(Record):
+    _fields = ("label", "atoms")
+
+    def __init__(self, label: LabelRef, atoms: tuple[ModeAtom, ...]) -> None:
+        d = self.__dict__
+        d["label"], d["atoms"] = label, atoms
 
 
-@dataclass(frozen=True)
-class MeasureStmt:
-    party: str
-    kind: str  # "internal" | "external"
-    bins: tuple[BinDecl, ...]
+class MeasureStmt(Record):
+    _fields = ("party", "kind", "bins")
+
+    def __init__(self, party: str, kind: str, bins: tuple[BinDecl, ...]) -> None:
+        d = self.__dict__
+        d["party"], d["kind"], d["bins"] = party, kind, bins  # kind: "internal" | "external"
 
 
-@dataclass(frozen=True)
-class CircuitSpecTree:
-    internals: tuple[LabelRef, ...]
-    externals: tuple[LabelRef, ...]
-    statistics: str
-    particles: tuple[ParticleDecl, ...]
-    elements: tuple
-    measures: tuple[MeasureStmt, ...]
+class CircuitSpecTree(Record):
+    _fields = ("internals", "externals", "statistics", "particles", "elements", "measures")
+
+    def __init__(
+        self,
+        internals: tuple[LabelRef, ...],
+        externals: tuple[LabelRef, ...],
+        statistics: str,
+        particles: tuple[ParticleDecl, ...],
+        elements: tuple,
+        measures: tuple[MeasureStmt, ...],
+    ) -> None:
+        d = self.__dict__
+        d["internals"], d["externals"], d["statistics"] = internals, externals, statistics
+        d["particles"], d["elements"], d["measures"] = particles, elements, measures
 
 
 _STATEMENT_HEADS = KEYWORDS - {"bin"}

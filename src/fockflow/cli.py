@@ -33,7 +33,9 @@ experiments.MAX_MC_DRAWS; larger values exit 2.
 
 numpy loads only for ``signal --mc`` (its seeded ``Generator``) and
 ``chsh --search`` (the dial-grid broadcast); every other command runs
-without importing it.
+without importing it.  Start-up loads neither numpy nor the standard
+library's data-class generator with its ``inspect`` import: the package's
+records are plain classes with hand-written constructors.
 """
 
 from __future__ import annotations

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .algebra import ModeBasis, UnknownMode
 
 __all__ = [
@@ -67,8 +66,7 @@ class BasisMismatch(ValueError):
     """Transforms to be composed are over different mode bases."""
 
 
-@dataclass(frozen=True)
-class ModeTransform:
+class ModeTransform(Record):
     """A linear map on creation operators over a fixed mode basis.
 
     ``maps`` holds slot maps in application order: each takes a slot index
@@ -80,12 +78,15 @@ class ModeTransform:
     ``COLUMN_DROP_TOLERANCE`` as (row index, complex value) pairs, rows
     shifted into m's species block and ascending.  Each column is pushed
     on first read and kept, so ``substitute`` pays only for the columns its
-    state occupies; ``columns`` lists every basis index's column.
+    state occupies; ``columns`` lists every basis index's column.  The
+    column cache takes no part in equality, hash or repr.
     """
 
-    basis: ModeBasis
-    maps: tuple
-    _columns: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("basis", "maps")
+
+    def __init__(self, basis: ModeBasis, maps: tuple) -> None:
+        d = self.__dict__
+        d["basis"], d["maps"], d["_columns"] = basis, maps, {}
 
     def column(self, m: int) -> tuple:
         col = self._columns.get(m)

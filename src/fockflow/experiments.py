@@ -35,8 +35,8 @@ whether all bits agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .algebra import ModeBasis, StateVector, Statistics, create, norm_squared, substitute
 from .elements import beam_splitter, compose, hybrid_beam_splitter, phase_shifter
 
@@ -73,18 +73,23 @@ MAX_MC_DOFS = 62  # 2^62 is the largest power of two an int64 draw can bound
 MAX_MC_DRAWS = 10**7  # int64 readouts per Monte Carlo run: 80 MB per array
 
 
-@dataclass(frozen=True)
-class CircuitRun:
-    name: str
-    statistics: Statistics
-    phases: dict
-    basis: ModeBasis
-    final_state: StateVector
+class CircuitRun(Record):
+    _fields = ("name", "statistics", "phases", "basis", "final_state")
 
-    def __post_init__(self) -> None:
-        n2 = norm_squared(self.final_state)
+    def __init__(
+        self,
+        name: str,
+        statistics: Statistics,
+        phases: dict,
+        basis: ModeBasis,
+        final_state: StateVector,
+    ) -> None:
+        n2 = norm_squared(final_state)
         if abs(n2 - 1.0) > 1e-9:
             raise ValueError(f"final state norm^2 = {n2}, expected 1")
+        d = self.__dict__
+        d["name"], d["statistics"], d["phases"] = name, statistics, phases
+        d["basis"], d["final_state"] = basis, final_state
 
 
 def circuit_basis(statistics: Statistics, internals=SPIN) -> ModeBasis:
@@ -148,8 +153,7 @@ def dial_settings(a: float, b: float) -> dict:
 # --- cloning, sorter cascades, and the signaling decoder ---
 
 
-@dataclass(frozen=True)
-class QubitState:
+class QubitState(Record):
     """Single-qubit amplitudes in the computational (Z) basis.
 
     The cascade's one normalization check: norm^2 must lie within 1e-9 of
@@ -157,13 +161,14 @@ class QubitState:
     sum of its own.
     """
 
-    amp0: complex
-    amp1: complex
+    _fields = ("amp0", "amp1")
 
-    def __post_init__(self) -> None:
-        n = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
+    def __init__(self, amp0: complex, amp1: complex) -> None:
+        n = abs(amp0) ** 2 + abs(amp1) ** 2
         if not abs(n - 1.0) <= 1e-9:  # a NaN norm fails every comparison
             raise ValueError(f"qubit norm^2 = {n}, expected 1")
+        d = self.__dict__
+        d["amp0"], d["amp1"] = amp0, amp1
 
     def born(self) -> tuple[float, float]:
         return abs(self.amp0) ** 2, abs(self.amp1) ** 2

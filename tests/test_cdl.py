@@ -1,7 +1,6 @@
 """Unit tests for the circuit description language."""
 
 import contextlib
-import dataclasses
 import io
 import itertools
 import math
@@ -21,6 +20,7 @@ from fockflow.algebra import (
 )
 from fockflow.analysis import MeasurementPartition, completeness
 from fockflow.cdl import (
+    CircuitSpecTree,
     LabelRef,
     LexError,
     ParseError,
@@ -422,12 +422,15 @@ class TestCompiler:
 
         def literal(params):
             elements = tuple(
-                dataclasses.replace(el, arg=PhaseArg(value=params[el.arg.param]))
+                PhaseStmt(el.port, PhaseArg(value=params[el.arg.param]))
                 if isinstance(el, PhaseStmt)
                 else el
                 for el in tree.elements
             )
-            return execute(compile_circuit(dataclasses.replace(tree, elements=elements))).terms
+            literal_tree = CircuitSpecTree(
+                tree.internals, tree.externals, tree.statistics, tree.particles, elements, tree.measures
+            )
+            return execute(compile_circuit(literal_tree)).terms
 
         grid = [
             dict(zip(self.PARAMS, values))

@@ -122,7 +122,7 @@ class TestTable:
 
     @pytest.mark.parametrize("command", [["table"], ["chsh"], ["sweep", "--steps", "1"]])
     @pytest.mark.parametrize("leak", [1.01, 0.0])  # 0.0 leaves the zero state
-    @pytest.mark.parametrize("circuit", ["hh", str(EXAMPLES / "swap.cdl")])
+    @pytest.mark.parametrize("circuit", ["hh", str(EXAMPLES / "swap.cdl")], ids=lambda c: Path(c).name)
     def test_norm_drift_is_a_numeric_failure(self, capsys, monkeypatch, circuit, leak, command):
         execute = cli.execute
 

@@ -4,9 +4,9 @@ Every import is used or exported (read with the standard library's ``ast``),
 and every name a module exports in ``__all__`` exists once it is imported
 and is read by package code other than its own definition, so the package
 ships no name that only the tests call.
-No package module imports numpy when it is loaded, and each CLI command
-but ``signal --mc`` and ``chsh --search`` runs, in a fresh interpreter,
-without loading it.
+No package module imports numpy or ``dataclasses`` when it is loaded, and
+each CLI command but ``signal --mc`` and ``chsh --search`` runs, in a fresh
+interpreter, without loading numpy, ``dataclasses`` or ``inspect``.
 """
 
 import ast
@@ -201,6 +201,11 @@ def test_no_module_imports_numpy_at_load(path):
     assert "numpy" not in imports_at_load(path.read_text())
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=_source_id)
+def test_no_module_imports_dataclasses_at_load(path):
+    assert "dataclasses" not in imports_at_load(path.read_text())
+
+
 # numpy loads only for ``signal --mc`` and ``chsh --search``
 WITHOUT_NUMPY = [
     ["table", "hh"],
@@ -212,31 +217,37 @@ WITHOUT_NUMPY = [
     ["signal", "--dofs", "3"],
 ]
 WITH_NUMPY = [["signal", "--dofs", "3", "--mc", "10"], ["chsh", "hh", "--search"]]
+# modules a command is to leave unloaded; what the interpreter loads before
+# the probe's first line (``site`` and its ``.pth`` files) does not count
+PROBED = ("numpy", "dataclasses", "inspect")
 _PROBE = (
-    "import contextlib, io, sys\n"
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import contextlib, io\n"
     "from fockflow.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
-    "print(code, 'numpy' in sys.modules)\n"
+    f"print(code, *sorted(set({PROBED!r}) & (set(sys.modules) - before)))\n"
 )
 
 
-def _numpy_loaded(argv) -> bool:
+def _loaded(argv) -> set[str]:
+    """The ``PROBED`` modules that running ``argv`` in a fresh interpreter loads."""
     path = filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, check=True
     )
-    code, loaded = done.stdout.split()
+    code, *loaded = done.stdout.split()
     assert code == "0", done.stderr
-    return loaded == "True"
+    return set(loaded)
 
 
 @pytest.mark.parametrize("argv", WITHOUT_NUMPY, ids=lambda argv: " ".join(Path(a).name for a in argv))
 def test_command_runs_without_numpy(argv):
-    assert not _numpy_loaded(argv)
+    assert _loaded(argv) == set()
 
 
 @pytest.mark.parametrize("argv", WITH_NUMPY, ids=" ".join)
 def test_probe_sees_numpy_where_it_loads(argv):
-    assert _numpy_loaded(argv)
+    assert "numpy" in _loaded(argv)
