@@ -66,7 +66,12 @@ SIGNALS = [
     for variant, count in (("--dofs", "3"), ("--copies", "4"))
     for mc in ((), ("--mc", "20000", "--seed", "7"))
     for json in ((), ("--json",))
-]
+] + [
+    # odd trials leave a buffered 32-bit word and the seed spans two words:
+    # dofs 40 reads 64-bit outputs, dofs 3 starts its readout on that word
+    ("signal", "--dofs", dofs, "--mc", "3001", "--seed", "12345678901234567890")
+    for dofs in ("40", "3")
+] + [("signal", "--copies", "4", "--mc", "40000", "--seed", "7")]
 
 
 def golden_path(argv) -> Path:
