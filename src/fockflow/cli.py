@@ -31,11 +31,13 @@ has another particle count.
 MAX_CASCADE_DOFS and ``signal --mc`` trials x copies at
 experiments.MAX_MC_DRAWS; larger values exit 2.
 
-numpy loads only for ``signal --mc`` (its seeded ``Generator``) and
-``chsh --search`` (the dial-grid broadcast); every other command runs
-without importing it.  Start-up loads neither numpy nor the standard
-library's data-class generator with its ``inspect`` import: the package's
-records are plain classes with hand-written constructors.
+numpy loads only for ``chsh --search`` (the dial-grid broadcast) and for
+``signal --mc`` past experiments.MAX_PURE_MC_DRAWS draws (trials x
+copies), which its seeded ``default_rng`` draws; smaller runs replay the
+same stream in pure Python.  Every other command runs without importing
+it.  Start-up loads neither numpy nor the standard library's data-class
+generator with its ``inspect`` import: the package's records are plain
+classes with hand-written constructors.
 """
 
 from __future__ import annotations

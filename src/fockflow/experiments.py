@@ -35,6 +35,7 @@ whether all bits agree.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 from ._record import Record
 from .algebra import ModeBasis, StateVector, Statistics, create, norm_squared, substitute
@@ -71,6 +72,8 @@ TABLE_KINDS = ("path-path", "spin-spin", "spin-path", "path-spin")
 RNG_ID = "numpy.default_rng/PCG64"
 MAX_MC_DOFS = 62  # 2^62 is the largest power of two an int64 draw can bound
 MAX_MC_DRAWS = 10**7  # int64 readouts per Monte Carlo run: 80 MB per array
+# up to here a pure-Python PCG64 replay costs less than importing numpy
+MAX_PURE_MC_DRAWS = 2**17
 
 
 class CircuitRun(Record):
@@ -236,8 +239,10 @@ def signaling_decode_mc(
 ):
     """Monte Carlo mirror of signaling_decode_exact: (estimate, stderr).
 
-    The draws come from numpy's seeded ``Generator`` (``RNG_ID``), imported
-    here so that no other command loads numpy.
+    The draws are those of numpy's ``default_rng(seed)`` (``RNG_ID``) on
+    both paths: up to ``MAX_PURE_MC_DRAWS`` draws (trials x copies) replay
+    its PCG64 stream in pure Python, so a short run loads no numpy, and
+    larger runs import numpy here, so that no other command loads it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -252,20 +257,37 @@ def signaling_decode_mc(
         )
     if seed < 0:  # default_rng's own message names neither the seed nor its value
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _one_of(dofs, copies)
+    correct = _correct_pure if draws <= MAX_PURE_MC_DRAWS else _correct_numpy
+    p = correct(dofs, copies, trials, seed) / trials
+    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    return p, stderr
+
+
+def _correct_numpy(dofs, copies, trials, seed) -> int:
+    """How many of ``trials`` decodes are correct, drawn by numpy's ``Generator``."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    if dofs is not None:
-        n = _one_of(dofs, copies)
-        alice_x = rng.integers(0, 2, size=trials).astype(bool)
-        readout = rng.integers(0, 2**n, size=trials, dtype=np.int64)
-        agree = (readout == 0) | (readout == 2**n - 1)
-        correct = np.where(alice_x, ~agree, True)
-    else:
-        m = _one_of(dofs, copies)
-        readout = rng.integers(0, 4, size=(trials, m), dtype=np.int64)
+    if copies is not None:
+        readout = rng.integers(0, 4, size=(trials, copies), dtype=np.int64)
         agree = (readout == 0) | (readout == 3)
-        correct = ~agree.all(axis=1)
-    p = float(np.mean(correct))
-    stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return p, stderr
+        return int(np.count_nonzero(~agree.all(axis=1)))
+    alice_x = rng.integers(0, 2, size=trials).astype(bool)
+    readout = rng.integers(0, 2**dofs, size=trials, dtype=np.int64)
+    agree = (readout == 0) | (readout == 2**dofs - 1)
+    return trials - int(np.count_nonzero(alice_x & agree))
+
+
+def _correct_pure(dofs, copies, trials, seed) -> int:
+    """``_correct_numpy``'s count from the same draws, replayed by ``_pcg64``."""
+    from ._pcg64 import Generator
+
+    rng = Generator(seed)
+    if copies is not None:
+        split = [0 < r < 3 for r in rng.integers(2, trials * copies)]
+        return sum(any(split[i : i + copies]) for i in range(0, trials * copies, copies))
+    alice_x = rng.integers(1, trials)
+    readout = rng.integers(dofs, trials)
+    agree = (0, (1 << dofs) - 1)
+    return trials - sum(1 for r in compress(readout, alice_x) if r in agree)

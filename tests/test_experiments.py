@@ -14,9 +14,11 @@ from fockflow.analysis import (
     correlation,
 )
 from fockflow.cdl import compile_circuit, parse_source, rebin
+from fockflow._pcg64 import Generator
 from fockflow.cli import main
 from fockflow.experiments import (
     MAX_MC_DRAWS,
+    MAX_PURE_MC_DRAWS,
     PHASES,
     QubitState,
     RNG_ID,
@@ -29,6 +31,8 @@ from fockflow.experiments import (
     signaling_decode_exact,
     signaling_decode_mc,
     sorter_cascade,
+    _correct_numpy,
+    _correct_pure,
 )
 from circuits import EXAMPLES, compiled, occupations, parts, readout, runner, table
 from reference import canonicalize, closed_form_table, factorization_residual
@@ -319,6 +323,18 @@ class TestClonesAndCascade:
         assert list(sorter_cascade(state, dofs).items()) == list(want.items())
 
 
+class Reached(Exception):
+    """Raised in place of numpy's ``default_rng``: the run got as far as its draw."""
+
+
+@pytest.fixture
+def no_default_rng(monkeypatch):
+    def reached(*_):
+        raise Reached
+
+    monkeypatch.setattr(np.random, "default_rng", reached)
+
+
 class TestSignaling:
     def test_exact_dof_values(self):
         assert signaling_decode_exact(dofs=1) == pytest.approx(0.5)
@@ -340,14 +356,7 @@ class TestSignaling:
         with pytest.raises(ValueError, match="at most 62"):
             signaling_decode_mc(dofs=63, trials=10, seed=0)
 
-    def test_mc_rejects_draws_past_the_cap(self, monkeypatch):
-        class Reached(Exception):
-            pass
-
-        def reached(*_):
-            raise Reached
-
-        monkeypatch.setattr(np.random, "default_rng", reached)
+    def test_mc_rejects_draws_past_the_cap(self, no_default_rng):
         # the README's example sits below the cap and gets as far as the draw
         with pytest.raises(Reached):
             signaling_decode_mc(copies=4, trials=10**6, seed=7)
@@ -357,6 +366,14 @@ class TestSignaling:
             signaling_decode_mc(copies=5, trials=MAX_MC_DRAWS // 5 + 1, seed=7)
         with pytest.raises(ValueError, match="cap"):
             signaling_decode_mc(dofs=3, trials=MAX_MC_DRAWS + 1, seed=7)
+
+    def test_mc_draws_small_runs_without_numpy(self, no_default_rng):
+        signaling_decode_mc(dofs=3, trials=MAX_PURE_MC_DRAWS, seed=7)
+        signaling_decode_mc(copies=4, trials=MAX_PURE_MC_DRAWS // 4, seed=7)
+        with pytest.raises(Reached):
+            signaling_decode_mc(dofs=3, trials=MAX_PURE_MC_DRAWS + 1, seed=7)
+        with pytest.raises(Reached):
+            signaling_decode_mc(copies=1, trials=MAX_PURE_MC_DRAWS + 1, seed=7)
 
     def test_mc_rejects_a_negative_seed(self):
         # numpy's own refusal names neither the seed nor its value
@@ -387,3 +404,41 @@ class TestSignaling:
 
     def test_rng_identity_string(self):
         assert "PCG64" in RNG_ID
+
+
+# seeds of one, two, three and five 32-bit entropy words
+SEEDS = (0, 1, 7, 2**31 - 1, 2**32 + 5, 2**64 + 3, 2**130)
+
+
+class TestPurePCG64:
+    """The pure-Python draws against numpy's ``default_rng``, bit for bit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_counts_match_numpy(self, seed):
+        # odd trial counts leave a buffered 32-bit word behind Alice's draws
+        variants = [(d, None) for d in (1, 2, 3, 31, 32, 33, 40, 62)]
+        variants += [(None, m) for m in range(1, 7)]
+        wrong = [
+            (trials, dofs, copies)
+            for trials in (1, 2, 3, 17, 1001, 4000)
+            for dofs, copies in variants
+            if _correct_pure(dofs, copies, trials, seed)
+            != _correct_numpy(dofs, copies, trials, seed)
+        ]
+        assert wrong == []
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_raw_outputs_match_numpy(self, seed):
+        want = np.random.default_rng(seed).bit_generator.random_raw(5).tolist()
+        assert Generator(seed).outputs(5) == want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_match_numpy(self, seed):
+        # odd 32-bit sizes leave a high half kept, 64-bit draws pass it by,
+        # and the next 32-bit draw starts on it
+        calls = [
+            (1, 7), (62, 3), (3, 1), (40, 2), (32, 4), (2, 5), (33, 1), (31, 3), (1, 0), (5, 2)
+        ]
+        ours, theirs = Generator(seed), np.random.default_rng(seed)
+        for bits, size in calls:
+            assert ours.integers(bits, size) == theirs.integers(0, 2**bits, size=size).tolist()

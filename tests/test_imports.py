@@ -5,8 +5,9 @@ and every name a module exports in ``__all__`` exists once it is imported
 and is read by package code other than its own definition, so the package
 ships no name that only the tests call.
 No package module imports numpy or ``dataclasses`` when it is loaded, and
-each CLI command but ``signal --mc`` and ``chsh --search`` runs, in a fresh
-interpreter, without loading numpy, ``dataclasses`` or ``inspect``.
+each CLI command but ``chsh --search`` and a ``signal --mc`` run past
+``MAX_PURE_MC_DRAWS`` runs, in a fresh interpreter, without loading numpy,
+``dataclasses`` or ``inspect``.
 """
 
 import ast
@@ -206,7 +207,8 @@ def test_no_module_imports_dataclasses_at_load(path):
     assert "dataclasses" not in imports_at_load(path.read_text())
 
 
-# numpy loads only for ``signal --mc`` and ``chsh --search``
+# numpy loads only for ``chsh --search`` and for ``signal --mc`` runs of more
+# than experiments.MAX_PURE_MC_DRAWS draws (4 x 40,000 = 160,000 here)
 WITHOUT_NUMPY = [
     ["table", "hh"],
     ["table", "swap"],
@@ -215,8 +217,9 @@ WITHOUT_NUMPY = [
     ["check", str(PACKAGE / "examples" / "hh_fermion.cdl")],
     ["cascade"],
     ["signal", "--dofs", "3"],
+    ["signal", "--dofs", "3", "--mc", "10"],
 ]
-WITH_NUMPY = [["signal", "--dofs", "3", "--mc", "10"], ["chsh", "hh", "--search"]]
+WITH_NUMPY = [["signal", "--copies", "4", "--mc", "40000"], ["chsh", "hh", "--search"]]
 # modules a command is to leave unloaded; what the interpreter loads before
 # the probe's first line (``site`` and its ``.pth`` files) does not count
 PROBED = ("numpy", "dataclasses", "inspect")
