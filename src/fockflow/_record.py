@@ -1,8 +1,10 @@
 """The shared base of the package's immutable value records.
 
-A subclass names its compared fields, in order, in ``_fields``, and its
-``__init__`` writes them, with anything else it keeps (a cached hash, a
-lookup table, a callable), straight into the instance ``__dict__``.
+A subclass names its compared fields, in order, in ``_fields``.
+``Record.__init__`` takes one value per field, by position only, stores
+them in the instance ``__dict__`` and raises ``TypeError``, naming the
+class, on a wrong count.  A subclass writes its own only for checks,
+caches, defaults or extra state, and it too writes into ``__dict__``.
 Equality, hash and repr read the tuple of ``_fields`` values alone;
 comparing with another class gives ``NotImplemented``.  Assigning or
 deleting any attribute raises ``AttributeError``.  An instance pickles by
@@ -24,6 +26,11 @@ class Record:
         # returns a lone field bare, so a one-field record wraps it.
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {self._fields}, got {len(values)} values")
+        self.__dict__.update(zip(self._fields, values))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -71,10 +71,6 @@ class Label(Record):
 
     _fields = ("name", "index")
 
-    def __init__(self, name: str, index: int) -> None:
-        d = self.__dict__
-        d["name"], d["index"] = name, index
-
 
 class Mode(Record):
     """One creation-operator slot: (species, internal label, external label).

@@ -35,6 +35,7 @@ from .parser import (
 )
 
 BOUND_STAGE_CAP = 256  # `$name` stages ``bind`` keeps per compiled circuit
+_basis = lru_cache(maxsize=4)(ModeBasis)  # equal label sets share a basis and its monomials
 
 
 class CompiledCircuit(Record):
@@ -86,7 +87,7 @@ def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
         species = tags = tuple(range(1, len(tree.particles) + 1))
     else:
         species, tags = (0,), (0,) * len(tree.particles)
-    basis = ModeBasis(internals=internals, externals=externals, species=species)
+    basis = _basis(internals, externals, species)
 
     ranks = [
         basis.index_of(basis.mode(p.internal.name, p.external.name, species=sp))

@@ -45,11 +45,17 @@ _TOKEN = re.compile(
 _TERM = re.compile(rf"(-*)(?:({_FLOAT})|({_WORD}))?")
 
 
-class LexError(ValueError):
+class CdlError(ValueError):
+    """A fault in circuit source, placed at its 1-based ``line`` and ``col``."""
+
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, col {col})")
         self.line = line
         self.col = col
+
+
+class LexError(CdlError):
+    """Text that does not split into tokens."""
 
 
 class Token:

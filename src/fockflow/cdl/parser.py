@@ -27,24 +27,18 @@ from __future__ import annotations
 
 from .._record import Record
 from ..algebra import Statistics
-from .lexer import KEYWORDS, Token, tokenize
+from .lexer import KEYWORDS, CdlError, Token, tokenize
 
 STATISTICS_NAMES = tuple(s.value for s in Statistics)
 PARTIES = ("A", "B")
 
 
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.line = line
-        self.col = col
+class ParseError(CdlError):
+    """Tokens the grammar does not accept."""
 
 
-class SemanticError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.line = line
-        self.col = col
+class SemanticError(CdlError):
+    """A well-formed statement that breaks a declaration rule."""
 
 
 class LabelRef(Record):
@@ -70,92 +64,41 @@ class PhaseArg(Record):
 class Route(Record):
     _fields = ("src", "dst")
 
-    def __init__(self, src: LabelRef, dst: LabelRef) -> None:
-        d = self.__dict__
-        d["src"], d["dst"] = src, dst
-
 
 class ParticleDecl(Record):
     _fields = ("internal", "external")
 
-    def __init__(self, internal: LabelRef, external: LabelRef) -> None:
-        d = self.__dict__
-        d["internal"], d["external"] = internal, external
-
 
 class SplitterStmt(Record):
-    _fields = ("kind", "in_a", "in_b", "out_t", "out_r")
-
-    def __init__(
-        self, kind: str, in_a: LabelRef, in_b: LabelRef, out_t: LabelRef, out_r: LabelRef
-    ) -> None:
-        d = self.__dict__
-        d["kind"] = kind  # "hbs" | "bs"
-        d["in_a"], d["in_b"], d["out_t"], d["out_r"] = in_a, in_b, out_t, out_r
+    _fields = ("kind", "in_a", "in_b", "out_t", "out_r")  # kind: "hbs" | "bs"
 
 
 class PhaseStmt(Record):
     _fields = ("port", "arg")
 
-    def __init__(self, port: LabelRef, arg: PhaseArg) -> None:
-        d = self.__dict__
-        d["port"], d["arg"] = port, arg
-
 
 class SorterStmt(Record):
-    _fields = ("selector", "port", "routes")
-
-    def __init__(self, selector: str, port: LabelRef | None, routes: tuple[Route, ...]) -> None:
-        d = self.__dict__
-        d["selector"], d["port"], d["routes"] = selector, port, routes  # selector: "internal" | "external"
+    _fields = ("selector", "port", "routes")  # selector: "internal" | "external"
 
 
 class ExchangeStmt(Record):
     _fields = ("routes",)
 
-    def __init__(self, routes: tuple[Route, ...]) -> None:
-        self.__dict__["routes"] = routes
-
 
 class ModeAtom(Record):
     _fields = ("internal", "external")
-
-    def __init__(self, internal: LabelRef | None, external: LabelRef) -> None:
-        d = self.__dict__
-        d["internal"], d["external"] = internal, external
 
 
 class BinDecl(Record):
     _fields = ("label", "atoms")
 
-    def __init__(self, label: LabelRef, atoms: tuple[ModeAtom, ...]) -> None:
-        d = self.__dict__
-        d["label"], d["atoms"] = label, atoms
-
 
 class MeasureStmt(Record):
-    _fields = ("party", "kind", "bins")
-
-    def __init__(self, party: str, kind: str, bins: tuple[BinDecl, ...]) -> None:
-        d = self.__dict__
-        d["party"], d["kind"], d["bins"] = party, kind, bins  # kind: "internal" | "external"
+    _fields = ("party", "kind", "bins")  # kind: "internal" | "external"
 
 
 class CircuitSpecTree(Record):
     _fields = ("internals", "externals", "statistics", "particles", "elements", "measures")
-
-    def __init__(
-        self,
-        internals: tuple[LabelRef, ...],
-        externals: tuple[LabelRef, ...],
-        statistics: str,
-        particles: tuple[ParticleDecl, ...],
-        elements: tuple,
-        measures: tuple[MeasureStmt, ...],
-    ) -> None:
-        d = self.__dict__
-        d["internals"], d["externals"], d["statistics"] = internals, externals, statistics
-        d["particles"], d["elements"], d["measures"] = particles, elements, measures
 
 
 _STATEMENT_HEADS = KEYWORDS - {"bin"}

@@ -62,9 +62,7 @@ from .analysis import (
     correlation,
 )
 from .cdl import (
-    LexError,
-    ParseError,
-    SemanticError,
+    CdlError,
     compile_circuit,
     execute,
     parse_source,
@@ -106,7 +104,7 @@ def parse_phase(text: str) -> float:
     """A single constant expression, e.g. '0.5', 'pi/4', '-3*pi/2'."""
     try:
         toks = tokenize(text)
-    except LexError as e:
+    except CdlError as e:
         raise argparse.ArgumentTypeError(str(e)) from e
     if len(toks) != 2 or toks[0].kind != "number":
         raise argparse.ArgumentTypeError(f"not a constant expression: {text!r}")
@@ -270,7 +268,7 @@ def _read_tree(path: str):
         raise _InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
     try:
         return parse_source(source)
-    except (LexError, ParseError, SemanticError) as e:
+    except CdlError as e:
         raise _InputError(f"{path}: {e}") from e
 
 

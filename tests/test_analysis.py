@@ -70,6 +70,13 @@ class TestCorrelation:
         with pytest.raises(ZeroCoincidenceMass):
             correlation(t)
 
+    def test_zero_mass_threshold_is_1e_15(self):
+        below = CoincidenceTable(("D", "L"), ("R", "U"), [[5e-16, 0], [0, 0]])
+        with pytest.raises(ZeroCoincidenceMass):
+            correlation(below)
+        above = CoincidenceTable(("D", "L"), ("R", "U"), [[2e-15, 0], [0, 0]])
+        assert correlation(above) == 1.0  # D and R both count -1
+
 
 class TestChsh:
     @staticmethod

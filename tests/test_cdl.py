@@ -475,6 +475,16 @@ class TestCompiler:
         assert all(a is b for a, b in zip(first.terms, second.terms))
         assert all(hash(m) == hash((m.entries,)) for m in first.terms)
 
+    def test_circuits_on_equal_label_sets_share_basis_and_monomials(self):
+        # a second circuit on the same ports builds no monomial the first built
+        first = compile_circuit(parse_source(read("hh_boson.cdl")))
+        second = compile_circuit(parse_source(read("hh_boson.cdl")))
+        assert second is not first and second.basis is first.basis
+        a, b = execute(first, self.PARAMS), execute(second, self.PARAMS)
+        assert len(a.terms) > 1 and all(m is n for m, n in zip(a.terms, b.terms))
+        other = compile_circuit(parse_source(read("hh_distinguishable.cdl")))
+        assert other.basis is not first.basis and other.basis.species == (1, 2)
+
     def test_partitions_match_hardcoded(self):
         for name in HARDCODED_BINS:
             c = compile_circuit(parse_source(read(name)))

@@ -4,6 +4,8 @@ Every import is used or exported (read with the standard library's ``ast``),
 and every name a module exports in ``__all__`` exists once it is imported
 and is read by package code other than its own definition, so the package
 ships no name that only the tests call.
+No ``Record`` subclass writes a constructor that only stores its
+``_fields``, which ``Record.__init__`` already does.
 No package module imports numpy or ``dataclasses`` when it is loaded, and
 each CLI command but ``chsh --search`` and a ``signal --mc`` run past
 ``MAX_PURE_MC_DRAWS`` runs, in a fresh interpreter, without loading numpy,
@@ -205,6 +207,76 @@ def test_no_module_imports_numpy_at_load(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=_source_id)
 def test_no_module_imports_dataclasses_at_load(path):
     assert "dataclasses" not in imports_at_load(path.read_text())
+
+
+def copied_constructors(source: str) -> list[str]:
+    """``Record`` subclasses whose ``__init__`` only does what ``Record.__init__`` does.
+
+    Such a constructor takes exactly its ``_fields`` as parameters, in order
+    and without defaults, and its body is nothing but assignments: each
+    value is one of those parameters (or ``self.__dict__``, read into an
+    alias), and the keys it writes are the fields and nothing else.
+    """
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or "Record" not in [getattr(b, "id", None) for b in cls.bases]:
+            continue
+        fields, init = (), None
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["_fields"]:
+                fields = ast.literal_eval(stmt.value)
+            elif isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                init = stmt
+        if init is None:
+            continue
+        a = init.args
+        params = [arg.arg for arg in a.args[1:]]
+        if params != list(fields) or a.defaults or a.vararg or a.kwonlyargs or a.kwarg:
+            continue
+        written, copies = set(), True
+        for stmt in init.body:
+            if not isinstance(stmt, ast.Assign):
+                copies = False
+                break
+            values = stmt.value.elts if isinstance(stmt.value, ast.Tuple) else [stmt.value]
+            copies &= all(
+                (isinstance(v, ast.Name) and v.id in params)
+                or (isinstance(v, ast.Attribute) and v.attr == "__dict__")
+                for v in values
+            )
+            for target in stmt.targets:
+                for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(t, ast.Subscript) and isinstance(t.slice, ast.Constant):
+                        written.add(t.slice.value)
+        if copies and written == set(fields):
+            found.append(cls.name)
+    return found
+
+
+def test_copy_check_sees_only_a_constructor_that_copies():
+    source = (
+        "class Copy(Record):\n    _fields = ('a', 'b')\n"
+        "    def __init__(self, a, b):\n        d = self.__dict__\n        d['a'], d['b'] = a, b\n"
+        "class One(Record):\n    _fields = ('a',)\n"
+        "    def __init__(self, a):\n        self.__dict__['a'] = a\n"
+        "class Default(Record):\n    _fields = ('a',)\n"
+        "    def __init__(self, a=0):\n        self.__dict__['a'] = a\n"
+        "class Extra(Record):\n    _fields = ('a',)\n"
+        "    def __init__(self, a, line):\n        d = self.__dict__\n        d['a'], d['line'] = a, line\n"
+        "class Cache(Record):\n    _fields = ('a',)\n"
+        "    def __init__(self, a):\n        d = self.__dict__\n        d['a'], d['_hash'] = a, hash(a)\n"
+        "class Check(Record):\n    _fields = ('a',)\n"
+        "    def __init__(self, a):\n        if a < 0:\n            raise ValueError\n"
+        "        self.__dict__['a'] = a\n"
+        "class Plain:\n    _fields = ('a',)\n"
+        "    def __init__(self, a):\n        self.__dict__['a'] = a\n"
+    )
+    assert copied_constructors(source) == ["Copy", "One"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=_source_id)
+def test_no_record_copies_the_shared_constructor(path):
+    assert copied_constructors(path.read_text()) == []
 
 
 # numpy loads only for ``chsh --search`` and for ``signal --mc`` runs of more

@@ -2,10 +2,12 @@
 
 The package's records are values: their fields cannot be assigned or
 deleted, equality and hash read a fixed tuple of fields, and the repr
-lists those fields.  Bound stages and monomials are shared across runs
-(``CompiledCircuit.bind``'s LRU and ``ModeBasis.monomial``), so a write
-through one of them would reach every later run.  ``StateVector`` and the
-lexer's ``Token`` are the two mutable, unhashable records.
+lists those fields.  A record built from the wrong number of values
+raises ``TypeError`` naming its class.  Bound stages and monomials are
+shared across runs (``CompiledCircuit.bind``'s LRU and
+``ModeBasis.monomial``), so a write through one of them would reach every
+later run.  ``StateVector`` and the lexer's ``Token`` are the two mutable,
+unhashable records.
 """
 
 import pickle
@@ -20,6 +22,7 @@ from fockflow.cdl import compile_circuit, parse_source
 from fockflow.cdl.lexer import Token
 from fockflow.cdl.parser import (
     BinDecl,
+    CircuitSpecTree,
     ExchangeStmt,
     LabelRef,
     MeasureStmt,
@@ -86,6 +89,16 @@ def test_fields_are_read_only(record, name):
     with pytest.raises(AttributeError):
         record.unlisted = 1
     assert getattr(record, name) is value
+
+
+@pytest.mark.parametrize(
+    ("cls", "values"),
+    [(Route, (A,)), (SplitterStmt, ("bs", A, B)), (CircuitSpecTree, ((),) * 7)],
+    ids=["Route", "SplitterStmt", "CircuitSpecTree"],
+)
+def test_a_wrong_number_of_values_raises_type_error(cls, values):
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\b"):
+        cls(*values)
 
 
 def test_label_ref_equality_and_hash_ignore_the_position():
