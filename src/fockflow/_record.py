@@ -8,7 +8,8 @@ caches, defaults or extra state, and it too writes into ``__dict__``.
 Equality, hash and repr read the tuple of ``_fields`` values alone;
 comparing with another class gives ``NotImplemented``.  Assigning or
 deleting any attribute raises ``AttributeError``.  An instance pickles by
-its ``__dict__``, which loading restores without ``__setattr__``.
+its ``__dict__``, which loading restores without ``__setattr__``.  The
+lexer's ``Token`` is the one mutable record, a ``__slots__`` class.
 """
 
 from operator import attrgetter

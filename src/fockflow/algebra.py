@@ -227,26 +227,21 @@ class Monomial(Record):
         return tuple(sorted((m.external.index, m.internal.index) for m in self.ops()))
 
 
-class StateVector:
+class StateVector(Record):
     """Sparse map from canonical monomials to complex amplitudes.
 
-    Treated as immutable after construction; every operation returns a new
-    state.  Amplitudes with magnitude below ``DEFAULT_PRUNE_TOLERANCE`` are
-    dropped on construction.  Two states are equal when their statistics
-    and terms are; a state is unhashable.
+    Every operation returns a new state.  Amplitudes with magnitude below
+    ``DEFAULT_PRUNE_TOLERANCE`` are dropped on construction.  Two states
+    are equal when their statistics and terms are; a state is unhashable,
+    because its terms are a dict.
     """
 
+    _fields = ("statistics", "terms")
+
     def __init__(self, statistics: Statistics, terms: dict) -> None:
-        self.statistics = statistics
-        self.terms = {m: complex(a) for m, a in terms.items() if abs(a) >= DEFAULT_PRUNE_TOLERANCE}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.statistics, self.terms) == (other.statistics, other.terms)
-
-    def __repr__(self) -> str:
-        return f"StateVector(statistics={self.statistics!r}, terms={self.terms!r})"
+        d = self.__dict__
+        d["statistics"] = statistics
+        d["terms"] = {m: complex(a) for m, a in terms.items() if abs(a) >= DEFAULT_PRUNE_TOLERANCE}
 
 
 def _left_multiply(amp, columns, statistics: Statistics) -> dict:
@@ -305,9 +300,9 @@ def substitute(state: StateVector, transform) -> StateVector:
     merge.  The transform only needs a ``basis`` attribute and a
     ``column(k)`` method listing column k's nonzeros as (row index, value)
     pairs; only the columns of occupied modes are read, and an
-    ``elements.ModeTransform`` pushes each through its slot maps on first
-    read.  Output monomials come from ``basis.monomial``, so every run
-    over one basis shares them.
+    ``elements.ModeTransform`` pushes each through its slot maps.  Output
+    monomials come from ``basis.monomial``, so every run over one basis
+    shares them.
 
     Each input monomial is expanded by ``_left_multiply``, the left
     insertion that ``create`` also builds initial states with, and the
@@ -326,8 +321,16 @@ def substitute(state: StateVector, transform) -> StateVector:
     return StateVector(state.statistics, out)
 
 
+def _left_sum(values) -> float:
+    """Add left to right from int 0, as ``sum`` did before 3.12 began compensating floats."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def norm_squared(state: StateVector) -> float:
-    return sum(abs(a) ** 2 * m.norm_factor() for m, a in state.terms.items())
+    return _left_sum(abs(a) ** 2 * m.norm_factor() for m, a in state.terms.items())
 
 
 def detector_distribution(state: StateVector) -> tuple[dict, float]:
@@ -339,17 +342,16 @@ def detector_distribution(state: StateVector) -> tuple[dict, float]:
     length is the particle count.  Each term adds its Born weight
     |a|^2 prod n_k! to its pattern, and each pattern weight is divided by
     the state's norm^2; the probabilities come in sorted pattern order.
-    The norm^2 is the ``sum`` of every term's weight in term order, so it
-    is the same float that ``norm_squared`` returns.  A zero state raises
-    ``ZeroNorm``.
+    The norm^2 is a running total of every term's weight in term order,
+    added as ``_left_sum`` adds, so it is the same float that
+    ``norm_squared`` returns.  A zero state raises ``ZeroNorm``.
     """
-    born = []
-    weights: dict = {}
+    n2, weights = 0, {}
     for mono, amp in state.terms.items():
-        born.append(abs(amp) ** 2 * mono.norm_factor())
+        born = abs(amp) ** 2 * mono.norm_factor()
+        n2 += born
         pattern = mono.pattern
-        weights[pattern] = weights.get(pattern, 0.0) + born[-1]
-    n2 = sum(born)
+        weights[pattern] = weights.get(pattern, 0.0) + born
     if n2 <= 0.0:
         raise ZeroNorm("state has zero norm")
     return {p: weights[p] / n2 for p in sorted(weights)}, n2

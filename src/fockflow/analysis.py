@@ -12,6 +12,7 @@ Tables are tuples of row tuples of Python floats.  numpy loads only when
 from __future__ import annotations
 
 from ._record import Record
+from .algebra import _left_sum
 
 __all__ = [
     "MeasurementPartition",
@@ -206,8 +207,8 @@ def chsh_grid_search(runner, dial_grid):
 def completeness(probs: dict) -> float:
     """Total probability of every detector outcome in a detector distribution.
 
-    The sum, in sorted pattern order, of ``probs`` (the first value that
-    ``algebra.detector_distribution`` returns): any particle count,
-    species-blind.
+    The sum, left to right in sorted pattern order, of ``probs`` (the
+    first value that ``algebra.detector_distribution`` returns): any
+    particle count, species-blind.
     """
-    return sum(probs.values())
+    return _left_sum(probs.values())

@@ -78,7 +78,8 @@ def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
     the normalized number state. Under distinguishable statistics the k-th
     particle gets species tag k+1 in declaration order. The initial state
     comes from ``create``, whose left insertion is the reordering rule
-    ``substitute`` applies to the final state too.
+    ``substitute`` applies to the final state too.  Circuits on equal label
+    sets share one basis and its monomials (``_basis`` keeps four bases).
     """
     stats = Statistics(tree.statistics)
     internals = tuple(r.name for r in tree.internals)

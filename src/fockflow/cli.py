@@ -36,8 +36,8 @@ numpy loads only for ``chsh --search`` (the dial-grid broadcast) and for
 copies), which its seeded ``default_rng`` draws; smaller runs replay the
 same stream in pure Python.  Every other command runs without importing
 it.  Start-up loads neither numpy nor the standard library's data-class
-generator with its ``inspect`` import: the package's records are plain
-classes with hand-written constructors.
+generator with its ``inspect`` import: the package's records subclass
+``_record.Record``, and the lexer's ``Token`` is a ``__slots__`` class.
 """
 
 from __future__ import annotations

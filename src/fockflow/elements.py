@@ -76,33 +76,24 @@ class ModeTransform(Record):
     ``column(m)`` pushes basis index m's slot unit vector through every
     map, touching only the entries a map names, and keeps those above
     ``COLUMN_DROP_TOLERANCE`` as (row index, complex value) pairs, rows
-    shifted into m's species block and ascending.  Each column is pushed
-    on first read and kept, so ``substitute`` pays only for the columns its
-    state occupies; ``columns`` lists every basis index's column.  The
-    column cache takes no part in equality, hash or repr.
+    shifted into m's species block and ascending.  ``columns`` lists every
+    basis index's column.
     """
 
     _fields = ("basis", "maps")
 
-    def __init__(self, basis: ModeBasis, maps: tuple) -> None:
-        d = self.__dict__
-        d["basis"], d["maps"], d["_columns"] = basis, maps, {}
-
     def column(self, m: int) -> tuple:
-        col = self._columns.get(m)
-        if col is None:
-            slot = m % len(self.basis.slots)
-            vec = {slot: 1.0}
-            for images in self.maps:
-                # every named slot leaves before any image lands, so it keeps only images
-                moved = [(s, vec.pop(s)) for s in images if s in vec]
-                for s, v in moved:
-                    for k, amp in images[s]:
-                        vec[k] = vec.get(k, 0.0) + amp * v
-            col = self._columns[m] = tuple(
-                (k + m - slot, complex(vec[k])) for k in sorted(vec) if abs(vec[k]) > COLUMN_DROP_TOLERANCE
-            )
-        return col
+        slot = m % len(self.basis.slots)
+        vec = {slot: 1.0}
+        for images in self.maps:
+            # every named slot leaves before any image lands, so it keeps only images
+            moved = [(s, vec.pop(s)) for s in images if s in vec]
+            for s, v in moved:
+                for k, amp in images[s]:
+                    vec[k] = vec.get(k, 0.0) + amp * v
+        return tuple(
+            (k + m - slot, complex(vec[k])) for k in sorted(vec) if abs(vec[k]) > COLUMN_DROP_TOLERANCE
+        )
 
     @property
     def columns(self) -> tuple:

@@ -38,6 +38,12 @@ lies in bin i of party A and one in bin j of party B, with Born weight
 |a|^2 prod n_k! / norm^2.  ``analysis.coincidence_table`` reads the
 species-blind ``detector_distribution`` instead.
 
+``party_amplitudes`` reads the post-selected two-party state: the terms
+with one particle in each party's measured slots, each written as
+a_A^dag a_B^dag, so a fermion term whose canonical order puts Bob's
+operator first changes sign.  It is the one place the tests read a
+state's amplitudes by party.
+
 ``closed_form_table`` evaluates the analytic cos^2/sin^2 chequers of the
 hyper-hybrid tables directly from the phase point, sharing no matrix or
 state machinery with the simulator, so agreement between the two is a
@@ -207,6 +213,28 @@ def reference_substitute(state, transform):
                 continue
             out[new] = out.get(new, 0.0) + sign * weight
     return StateVector(state.statistics, out)
+
+
+def party_amplitudes(state, part_a, part_b) -> dict:
+    """{(Alice's species, Bob's species): {(Alice's slot, Bob's slot): amplitude}}.
+
+    A slot is an (external index, internal index) pair, as in a
+    ``MeasurementPartition``; terms without exactly one particle on each
+    side are left out.
+    """
+    out: dict = {}
+    for mono, amp in state.terms.items():
+        ops = mono.ops()
+        if len(ops) != 2:
+            continue
+        slots = [(m.external.index, m.internal.index) for m in ops]
+        if slots[0] in part_b.slots and slots[1] in part_a.slots:
+            ops, slots = ops[::-1], slots[::-1]
+            if state.statistics is Statistics.FERMION:
+                amp = -amp
+        if slots[0] in part_a.slots and slots[1] in part_b.slots:
+            out.setdefault((ops[0].species, ops[1].species), {})[tuple(slots)] = amp
+    return out
 
 
 def reference_coincidence_table(state, part_a, part_b):

@@ -17,6 +17,7 @@ from fockflow.algebra import (
     Mode,
     ModeBasis,
     Monomial,
+    StateVector,
     Statistics,
     UnknownMode,
     ZeroNorm,
@@ -248,6 +249,13 @@ class TestAmplitudeAndNorm:
     def test_zero_state_norm(self):
         st = scale(vacuum(Statistics.BOSON), 0.0)
         assert norm_squared(st) == 0.0
+
+    def test_norm_adds_left_to_right(self):
+        # weights 1, 1e-16, 1e-16: a compensated sum gives 1.0000000000000002
+        terms = {BASIS.monomial((k,)): a for k, a in enumerate((1.0, 1e-8, 1e-8))}
+        st = StateVector(Statistics.BOSON, terms)
+        assert norm_squared(st) == 1.0
+        assert detector_distribution(st)[1] == 1.0
 
 
 class TestSubstitute:

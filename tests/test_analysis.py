@@ -253,6 +253,11 @@ class TestSweepAndEnumeration:
         st = apply_creation(st, BASIS.mode("down", "R"))
         assert completeness(detector_distribution(st)[0]) == pytest.approx(1.0)
 
+    def test_completeness_adds_left_to_right(self):
+        # a compensated sum gives 1.0000000000000002
+        probs = {((0, 0),): 1.0, ((0, 1),): 1e-16, ((1, 0),): 1e-16}
+        assert completeness(probs) == 1.0
+
     def test_completeness_of_three_distinguishable_species(self):
         three = ModeBasis(
             internals=("down", "up"), externals=("L", "D", "R", "U"), species=(1, 2, 3)

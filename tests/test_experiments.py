@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from fockflow.algebra import Statistics, detector_distribution, norm_squared
+from fockflow.algebra import ModeBasis, Statistics, create, detector_distribution, norm_squared
 from fockflow.analysis import (
+    MeasurementPartition,
     chsh_value,
     coincidence_table,
     completeness,
     correlation,
 )
-from fockflow.cdl import compile_circuit, parse_source, rebin
+from fockflow.cdl import compile_circuit, execute, parse_source, rebin
 from fockflow._pcg64 import Generator
 from fockflow.cli import main
 from fockflow.experiments import (
@@ -35,7 +36,7 @@ from fockflow.experiments import (
     _correct_pure,
 )
 from circuits import EXAMPLES, compiled, occupations, parts, readout, runner, table
-from reference import canonicalize, closed_form_table, factorization_residual
+from reference import canonicalize, closed_form_table, factorization_residual, party_amplitudes
 
 SETTINGS = dict(zip(PHASES, (0.3, 1.1, 2.0, 0.7)))
 TABLE_KINDS = ("path-path", "spin-spin", "spin-path", "path-spin")
@@ -153,6 +154,75 @@ class TestChshOnCircuits:
     def test_distinguishable_never_exceeds_two(self):
         dialed = runner("hh_distinguishable", "path-path")
         assert chsh_value(dialed, self.QUAD) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestEntanglementOfTheState:
+    """The paper's claim read from the post-selected state, not from a table.
+
+    Each species assignment of one particle per party gives a coefficient
+    matrix M[Alice's slot, Bob's slot] over both parties' full 4 x 4 slot
+    space; rho = sum_c vec(M_c) vec(M_c)^dag / p, where p is the
+    coincidence mass.  Reducing to one degree of freedom per party would
+    read every file as separable, because the dials act before the last
+    splitters.
+    """
+
+    POINTS = [{}, dict(zip(PHASES, (0.3, 1.1, -0.4, 2.0)))]
+    SAME = ["hh_boson", "hh_fermion", "swap"]
+
+    @staticmethod
+    def components(name: str, phases: dict) -> list:
+        circuit = compiled(name)
+        part_a, part_b = circuit.partitions["A"], circuit.partitions["B"]
+        rows, cols = sorted(part_a.slots), sorted(part_b.slots)
+        out = []
+        for amps in party_amplitudes(execute(circuit, phases), part_a, part_b).values():
+            m = np.zeros((len(rows), len(cols)), dtype=complex)
+            for (a, b), amp in amps.items():
+                m[rows.index(a), cols.index(b)] = amp
+            out.append(m)
+        return out
+
+    @staticmethod
+    def negativity(ms: list) -> float:
+        """The summed magnitude of the negative eigenvalues of rho's partial transpose."""
+        p = sum(np.vdot(m, m).real for m in ms)
+        rho = sum(np.outer(m.ravel(), m.ravel().conj()) for m in ms) / p
+        n_a, n_b = ms[0].shape
+        pt = rho.reshape(n_a, n_b, n_a, n_b).transpose(0, 3, 2, 1).reshape(n_a * n_b, n_a * n_b)
+        return -sum(e for e in np.linalg.eigvalsh(pt) if e < 0)
+
+    @pytest.mark.parametrize("stats", [Statistics.FERMION, Statistics.BOSON])
+    def test_amplitudes_are_read_with_alice_first(self, stats):
+        # Bob's port R comes first in canonical order, so a_L a_R is stored as -a_R a_L for fermions
+        basis = ModeBasis(internals=("down",), externals=("R", "L"))
+        alice = MeasurementPartition("A", "external", (("L", frozenset({(1, 0)})),))
+        bob = MeasurementPartition("B", "external", (("R", frozenset({(0, 0)})),))
+        state = create(basis, stats, [1, 0])
+        assert party_amplitudes(state, alice, bob) == {(0, 0): {((1, 0), (0, 0)): 1.0}}
+
+    @pytest.mark.parametrize("phases", POINTS, ids=["zero", "tilted"])
+    @pytest.mark.parametrize("name", [*SAME, "hh_distinguishable"])
+    def test_coincidence_mass_is_one_half(self, name, phases):
+        ms = self.components(name, phases)
+        assert all(m.shape == (4, 4) for m in ms)
+        assert sum(np.vdot(m, m).real for m in ms) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("phases", POINTS, ids=["zero", "tilted"])
+    @pytest.mark.parametrize("name", SAME)
+    def test_indistinguishable_particles_are_maximally_entangled(self, name, phases):
+        (m,) = self.components(name, phases)
+        schmidt = np.linalg.svd(m / math.sqrt(0.5), compute_uv=False)
+        assert schmidt == pytest.approx([math.sqrt(0.5)] * 2 + [0.0] * 2, abs=1e-12)
+        assert self.negativity([m]) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("phases", POINTS, ids=["zero", "tilted"])
+    def test_distinguishable_particles_are_a_separable_mixture(self, phases):
+        ms = self.components("hh_distinguishable", phases)
+        assert len(ms) == 2
+        for m in ms:
+            assert np.linalg.svd(m, compute_uv=False)[1:] == pytest.approx([0.0] * 3, abs=1e-12)
+        assert self.negativity(ms) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSwapCircuit:

@@ -5,7 +5,8 @@ and every name a module exports in ``__all__`` exists once it is imported
 and is read by package code other than its own definition, so the package
 ships no name that only the tests call.
 No ``Record`` subclass writes a constructor that only stores its
-``_fields``, which ``Record.__init__`` already does.
+``_fields``, which ``Record.__init__`` already does, and no class but
+``Record`` writes its own ``__eq__`` or ``__repr__``.
 No package module imports numpy or ``dataclasses`` when it is loaded, and
 each CLI command but ``chsh --search`` and a ``signal --mc`` run past
 ``MAX_PURE_MC_DRAWS`` runs, in a fresh interpreter, without loading numpy,
@@ -277,6 +278,38 @@ def test_copy_check_sees_only_a_constructor_that_copies():
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=_source_id)
 def test_no_record_copies_the_shared_constructor(path):
     assert copied_constructors(path.read_text()) == []
+
+
+def value_classes(source: str) -> list[str]:
+    """The classes that define their own ``__eq__`` or ``__repr__``."""
+    return [
+        cls.name
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name in ("__eq__", "__repr__") for f in cls.body)
+    ]
+
+
+# classes besides ``Record`` that keep their own equality and repr, each with the reason
+OWN_VALUE_METHODS = {
+    "fockflow.cdl.lexer.Token": "mutable, with ``__slots__`` for lexing speed, which a record is not",
+}
+
+
+def test_value_check_sees_a_class_with_its_own_equality_or_repr():
+    source = (
+        "class Eq:\n    def __eq__(self, other):\n        return True\n"
+        "class Repr:\n    def __repr__(self):\n        return ''\n"
+        "class Plain(Record):\n    _fields = ('a',)\n    def __str__(self):\n        return ''\n"
+    )
+    assert value_classes(source) == ["Eq", "Repr"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=_source_id)
+def test_only_record_defines_equality_and_repr(path):
+    module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+    found = {f"{module}.{name}" for name in value_classes(path.read_text())}
+    assert sorted(found - {"fockflow._record.Record", *OWN_VALUE_METHODS}) == []
 
 
 # numpy loads only for ``chsh --search`` and for ``signal --mc`` runs of more

@@ -6,8 +6,8 @@ lists those fields.  A record built from the wrong number of values
 raises ``TypeError`` naming its class.  Bound stages and monomials are
 shared across runs (``CompiledCircuit.bind``'s LRU and
 ``ModeBasis.monomial``), so a write through one of them would reach every
-later run.  ``StateVector`` and the lexer's ``Token`` are the two mutable,
-unhashable records.
+later run.  The lexer's ``Token`` is the one mutable record; it and
+``StateVector``, whose terms are a dict, are unhashable.
 """
 
 import pickle
@@ -60,6 +60,7 @@ READ_ONLY = [
     (CoincidenceTable(("a",), ("b",), ((1.0,),)), "probs"),
     (QubitState(1.0, 0.0), "amp0"),
     (run_circuit("hh", Statistics.BOSON, {}), "final_state"),
+    (create(BASIS, Statistics.BOSON, [0]), "terms"),
     (A, "name"),
     (PhaseArg(value=0.5), "value"),
     (ROUTE, "src"),
@@ -121,7 +122,7 @@ def test_equality_and_hash_read_the_field_tuple():
 
 def test_caches_and_callables_stay_outside_equality():
     read, fresh = beam_splitter(BASIS, "L", "R"), beam_splitter(BASIS, "L", "R")
-    read.columns  # fills the per-column cache of one of them
+    read.columns  # reading every column leaves a transform equal to a fresh one
     assert read == fresh
     one, two = compile_circuit(TREE), compile_circuit(TREE)
     assert one.bind is not two.bind and one == two
