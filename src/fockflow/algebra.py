@@ -6,8 +6,10 @@ rule used to bring operator products into canonical order: fermionic
 operators pick up the parity of the sorting permutation and annihilate the
 term when a mode repeats, while bosonic operators and operators of distinct
 distinguishable species commute freely and accumulate occupation numbers.
-One routine, a left insertion into sorted basis indices, applies that rule:
-``create`` builds initial states with it and ``substitute`` final ones.
+One routine applies that rule, a left insertion into a packed occupation
+vector: an int holding each basis index's occupation in a fixed-width bit
+field, ranks ascending from the low bits.  ``create`` builds initial states
+with it and ``substitute`` final ones.
 
 Modes are discrete labels (Kronecker deltas everywhere, no continuous
 spectra), ordered lexicographically by (species id, external index,
@@ -25,7 +27,6 @@ give each term, which is what makes outcome probabilities sum to one.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
 
@@ -111,8 +112,9 @@ class ModeBasis(Record):
     a transform's columns and their rows are indexed by it.  ``modes`` is
     one block per species, each block listing the same (internal, external)
     slots; ``slots`` maps a slot's (internal name, external name) to its
-    position inside every block.  ``monomial`` memoizes the monomials it
-    builds from basis indices, one per occupation pattern of the basis.
+    position inside every block.  ``unpacked`` holds the monomials built
+    from packed occupation vectors, one per occupation pattern and field
+    width; ``monomial`` packs a sorted tuple of basis indices first.
     Equality, hash and repr read only the three label sets.
     """
 
@@ -166,24 +168,51 @@ class ModeBasis(Record):
     def monomial(self, ranks: tuple[int, ...]) -> "Monomial":
         """The monomial of a sorted tuple of basis indices; repeats become occupations.
 
-        Built once per ``ranks``, in one pass that turns each run of equal
-        indices into a (mode, run length) entry, and then returned as the
-        same object.
+        The ranks are packed at the width their own count needs and looked
+        up in ``unpacked``.
         """
-        mono = self._monomials.get(ranks)
-        if mono is None:
-            modes, entries = self.modes, []
-            prev, occ = None, 0
-            for r in ranks:
-                if r == prev:
-                    occ += 1
-                else:
-                    if occ:
-                        entries.append((modes[prev], occ))
-                    prev, occ = r, 1
-            if occ:
-                entries.append((modes[prev], occ))
-            mono = self._monomials[ranks] = Monomial(tuple(entries))
+        width = len(ranks).bit_length()
+        return self.unpacked(width)[sum(1 << r * width for r in ranks)]
+
+    def unpacked(self, width: int) -> "_Unpacked":
+        """The basis's memo of monomials by packed occupation vector at ``width``.
+
+        One dict per width, because one key means different monomials at
+        different widths (0b10 is mode 1 at width 1 and mode 0 twice at
+        width 2); every run over the basis shares it.
+        """
+        memo = self._monomials.get(width)
+        if memo is None:
+            memo = self._monomials[width] = _Unpacked(self.modes, width)
+        return memo
+
+
+class _Unpacked(dict):
+    """Monomials keyed by packed occupation vector, at one field width.
+
+    Bits [r * width, (r + 1) * width) of a key hold basis index r's
+    occupation, so a width of N.bit_length() holds N particles.  A missing
+    key is decoded once, hopping from the lowest set bit (``k & -k``) to
+    the next occupied field, so a decode costs one step per occupied mode
+    however many modes the basis has; lookups after that return the same
+    object without a Python call.
+    """
+
+    __slots__ = ("modes", "width")
+
+    def __init__(self, modes: tuple, width: int) -> None:
+        self.modes, self.width = modes, width
+
+    def __missing__(self, key: int) -> "Monomial":
+        width, field = self.width, (1 << self.width) - 1
+        entries, rest = [], key
+        while rest:
+            shift = (rest & -rest).bit_length() - 1
+            shift -= shift % width
+            occ = rest >> shift & field
+            entries.append((self.modes[shift // width], occ))
+            rest ^= occ << shift
+        mono = self[key] = Monomial(tuple(entries))
         return mono
 
 
@@ -244,33 +273,41 @@ class StateVector(Record):
         d["terms"] = {m: complex(a) for m, a in terms.items() if abs(a) >= DEFAULT_PRUNE_TOLERANCE}
 
 
-def _left_multiply(amp, columns, statistics: Statistics) -> dict:
+def _left_multiply(amp, columns, statistics: Statistics, width: int) -> dict:
     """``amp`` times the product of ``columns``, leftmost first, on the vacuum.
 
     Each column is a sequence of (basis index, value) pairs, one creation
     operator's expansion.  The columns are applied right to left: every
     partial product is left-multiplied by the next column and like partial
-    products merge before the following one.  Partial products are sorted
-    tuples of basis indices, which are canonical ranks in (species, external
-    index, internal index) order, so a left insertion at position p crosses
-    p operators: fermions pick up (-1)**p and vanish on a repeated rank,
-    other statistics just insert.
-    This is the one reordering rule; returns {rank tuple: weight}.
+    products merge before the following one.  A partial product is a packed
+    occupation vector (see ``_Unpacked``) whose fields of ``width``
+    bits must hold the largest particle count of the whole state, so that
+    equal keys mean equal monomials across its terms.  Basis indices are
+    canonical ranks in (species, external index, internal index) order, so
+    inserting a_r^dag adds 1 << r * width and crosses every operator below
+    rank r.  A fermionic field holds 0 or 1, one set bit per operator:
+    a set bit at r vanishes the term, and the set bits below it give the
+    sign.  Other statistics just insert.
+    This is the one reordering rule; returns {packed key: weight}.
     """
     fermion = statistics is Statistics.FERMION
-    partial = {(): amp}
+    partial = {0: amp}
     for column in reversed(columns):
         grown: dict = {}
-        for ranks, weight in partial.items():
-            for r, v in column:
-                pos = bisect_left(ranks, r)
-                if fermion:
-                    if pos < len(ranks) and ranks[pos] == r:
-                        continue
-                    if pos % 2:
-                        v = -v
-                key = ranks[:pos] + (r,) + ranks[pos:]
-                grown[key] = grown.get(key, 0.0) + weight * v
+        get = grown.get
+        if fermion:
+            units = [(1 << r * width, (1 << r * width) - 1, (v, -v)) for r, v in column]
+            for key, weight in partial.items():
+                for unit, below, signed in units:
+                    if not key & unit:
+                        k = key | unit
+                        grown[k] = get(k, 0.0) + weight * signed[(key & below).bit_count() & 1]
+        else:
+            units = [(1 << r * width, v) for r, v in column]
+            for key, weight in partial.items():
+                for unit, v in units:
+                    k = key + unit
+                    grown[k] = get(k, 0.0) + weight * v
         partial = grown
     return partial
 
@@ -281,16 +318,20 @@ def create(basis: ModeBasis, statistics: Statistics, ranks) -> StateVector:
     Built by the same left insertion as ``substitute``, so fermions pick up
     the parity of the sorting permutation and a repeated fermionic rank
     gives the zero state.  Bosons sharing a mode keep the raw product, of
-    norm^2 prod n_k!.  A rank that is not an int in ``range(len(basis))``
-    raises ``UnknownMode``, so a negative one cannot wrap to the last mode.
+    norm^2 prod n_k!.  The packed keys are as wide as the rank count needs
+    and become monomials through ``basis.unpacked``.  A rank that is not an
+    int in ``range(len(basis))`` raises ``UnknownMode``, so a negative one
+    cannot wrap to the last mode.
     """
     columns = []
     for r in ranks:
         if not (isinstance(r, int) and 0 <= r < len(basis)):
             raise UnknownMode(f"rank {r!r} is not a mode index of this {len(basis)}-mode basis")
         columns.append(((r, 1.0),))
-    terms = _left_multiply(1.0 + 0.0j, columns, statistics)
-    return StateVector(statistics, {basis.monomial(k): w for k, w in terms.items()})
+    width = len(columns).bit_length()
+    terms = _left_multiply(1.0 + 0.0j, columns, statistics, width)
+    monos = basis.unpacked(width)
+    return StateVector(statistics, {monos[k]: w for k, w in terms.items()})
 
 
 def substitute(state: StateVector, transform) -> StateVector:
@@ -301,24 +342,29 @@ def substitute(state: StateVector, transform) -> StateVector:
     ``column(k)`` method listing column k's nonzeros as (row index, value)
     pairs; only the columns of occupied modes are read, and an
     ``elements.ModeTransform`` pushes each through its slot maps.  Output
-    monomials come from ``basis.monomial``, so every run over one basis
+    monomials come from ``basis.unpacked``, so every run over one basis
     shares them.
 
     Each input monomial is expanded by ``_left_multiply``, the left
     insertion that ``create`` also builds initial states with, and the
-    results merge in term order.  Work therefore grows with the number of
-    distinct partial products (at most C(m + N - 1, N) for N particles in
-    m modes, C(m, N) for fermions) times the column size, not with the m^N
-    terms of the full distributive expansion.
+    results merge in term order.  Every term is packed at the width of the
+    state's largest particle count.  Work therefore grows with the number
+    of distinct partial products (at most C(m + N - 1, N) for N particles
+    in m modes, C(m, N) for fermions) times the column size, not with the
+    m^N terms of the full distributive expansion.
     """
     basis, column_of = transform.basis, transform.column
+    factored = [
+        (amp, [column_of(basis.index_of(mode)) for mode in mono.ops()])
+        for mono, amp in state.terms.items()
+    ]
+    width = max((len(columns) for _, columns in factored), default=0).bit_length()
     merged: dict = {}
-    for mono, amp in state.terms.items():
-        columns = [column_of(basis.index_of(mode)) for mode in mono.ops()]
-        for ranks, weight in _left_multiply(amp, columns, state.statistics).items():
-            merged[ranks] = merged.get(ranks, 0.0) + weight
-    out = {basis.monomial(ranks): w for ranks, w in merged.items()}
-    return StateVector(state.statistics, out)
+    for amp, columns in factored:
+        for key, weight in _left_multiply(amp, columns, state.statistics, width).items():
+            merged[key] = merged.get(key, 0.0) + weight
+    monos = basis.unpacked(width)
+    return StateVector(state.statistics, {monos[key]: w for key, w in merged.items()})
 
 
 def _left_sum(values) -> float:

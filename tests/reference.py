@@ -8,7 +8,7 @@ tests build states from them.
 
 ``canonicalize`` is the reference's own reordering rule: an insertion
 sort over ``Mode`` objects by ``order_key`` that counts adjacent swaps,
-where the engine inserts basis indices with ``bisect``.
+where the engine adds to a packed occupation vector.
 ``apply_creation`` left-multiplies a state by one creation operator
 through it; chains of it build the test states, and the initial states
 ``algebra.create`` must reproduce.
@@ -18,6 +18,13 @@ through it; chains of it build the test states, and the initial states
 operators' columns (m^N terms for N operators on m modes), and each product
 is re-ordered with ``canonicalize``.  It shares no code with
 ``algebra.substitute`` beyond the state types.
+
+``insertion_substitute`` is the order reference: ``substitute``'s loops
+with each partial product kept as a sorted tuple of basis indices, the
+left insertion at ``bisect`` position p crossing p operators.  It visits
+partial products and column entries in the engine's order and does the
+same float operations in the same order, so the engine must match its
+term order and amplitudes exactly.
 
 ``DenseTransform`` reads a full-basis matrix as a transform: the
 ``basis``, ``column(k)`` and ``columns`` duck type that ``substitute``
@@ -64,6 +71,7 @@ constant folder ``_constant``.
 import itertools
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,6 +220,37 @@ def reference_substitute(state, transform):
             if new is None:
                 continue
             out[new] = out.get(new, 0.0) + sign * weight
+    return StateVector(state.statistics, out)
+
+
+def insertion_expand(amp, columns, statistics: Statistics) -> dict:
+    """``amp`` times the product of ``columns`` on the vacuum, as {sorted rank tuple: weight}."""
+    fermion = statistics is Statistics.FERMION
+    partial = {(): amp}
+    for column in reversed(columns):
+        grown: dict = {}
+        for ranks, weight in partial.items():
+            for r, v in column:
+                pos = bisect_left(ranks, r)
+                if fermion:
+                    if pos < len(ranks) and ranks[pos] == r:
+                        continue
+                    if pos % 2:
+                        v = -v
+                key = ranks[:pos] + (r,) + ranks[pos:]
+                grown[key] = grown.get(key, 0.0) + weight * v
+        partial = grown
+    return partial
+
+
+def insertion_substitute(state, transform):
+    basis, column_of = transform.basis, transform.column
+    merged: dict = {}
+    for mono, amp in state.terms.items():
+        columns = [column_of(basis.index_of(mode)) for mode in mono.ops()]
+        for ranks, weight in insertion_expand(amp, columns, state.statistics).items():
+            merged[ranks] = merged.get(ranks, 0.0) + weight
+    out = {_grouped([basis.modes[k] for k in ranks]): w for ranks, w in merged.items()}
     return StateVector(state.statistics, out)
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +28,13 @@ from fockflow.algebra import (
     scale,
     substitute,
 )
-from fockflow.elements import ModeTransform, hybrid_beam_splitter
+from fockflow.elements import (
+    ModeTransform,
+    beam_splitter,
+    compose,
+    hybrid_beam_splitter,
+    phase_shifter,
+)
 from reference import (
     DenseTransform,
     _grouped,
@@ -35,6 +42,7 @@ from reference import (
     apply_creation,
     canonicalize,
     from_matrix,
+    insertion_substitute,
     is_canonical,
     order_key,
     reference_substitute,
@@ -351,6 +359,108 @@ class TestSubstitute:
         assert set(got) <= set(outcomes)
         worst = max(abs(got.get(o, 0.0) - p) for o, p in zip(outcomes, expected))
         assert worst < 1e-12
+
+
+def seeded_mesh(n: int, statistics: Statistics, seed: int):
+    """A two-term state of N particles and a random mesh of splitters and phase plates.
+
+    Indistinguishable particles get 2N ports.  N distinguishable particles,
+    one species each, get 4 ports, so the 4^N outputs stay few; two of them
+    may share a port.  Each term lists its ranks shuffled.
+    """
+    rng = random.Random(seed)
+    distinct = statistics is Statistics.DISTINGUISHABLE
+    m = 4 if distinct else 2 * n
+    ports = tuple(f"p{k}" for k in range(m))
+    basis = ModeBasis(("h",), ports, tuple(range(1, n + 1)) if distinct else (0,))
+    stages = []
+    for _ in range(m):
+        order = list(ports)
+        rng.shuffle(order)
+        stages += [beam_splitter(basis, a, b) for a, b in zip(order[::2], order[1::2])]
+        stages += [phase_shifter(basis, port, rng.uniform(0.0, 2.0 * math.pi)) for port in ports]
+    state = StateVector(statistics, {})
+    for amp in (0.6, 0.8j):
+        if distinct:
+            ranks = [k * m + rng.randrange(m) for k in range(n)]
+        else:
+            ranks = rng.sample(range(m), n)
+        rng.shuffle(ranks)
+        state = add(state, scale(create(basis, statistics, ranks), amp))
+    return state, compose(stages)
+
+
+def assert_matches(got: StateVector, want: StateVector) -> None:
+    assert set(got.terms) == set(want.terms)
+    assert all(abs(got.terms[m] - a) < 1e-12 for m, a in want.terms.items())
+
+
+class TestPackedExpansion:
+    """The packed occupation vectors ``substitute`` and ``create`` expand on.
+
+    A key holds each mode's occupation in a field as wide as the state's
+    largest particle count needs, so these cases sit at the field edges.
+    """
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("stats", list(Statistics))
+    def test_mesh_matches_the_insertion_order_exactly(self, stats, n):
+        state, mesh = seeded_mesh(n, stats, seed=n)
+        got, want = substitute(state, mesh), insertion_substitute(state, mesh)
+        assert len(want.terms) > 1
+        assert list(got.terms) == list(want.terms)
+        assert all(got.terms[m] == a for m, a in want.terms.items())
+
+    def test_terms_of_different_particle_counts_share_one_width(self):
+        # key 0b10 is mode 1 at width 1 and mode 0 twice at width 2
+        basis = ModeBasis(internals=("h",), externals=("L", "R", "U"))
+        t = DenseTransform(basis, random_unitary(len(basis), seed=3))
+        st = add(create(basis, Statistics.BOSON, [0, 0]), create(basis, Statistics.BOSON, [0]))
+        assert_matches(substitute(st, t), reference_substitute(st, t))
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8])
+    def test_all_bosons_in_one_mode(self, n):
+        # 3 and 7 fill their field (0b11, 0b111); 4 and 8 need a wider one
+        basis = ModeBasis(internals=("h",), externals=("L", "R", "U"))
+        top = len(basis) - 1
+        st = create(basis, Statistics.BOSON, [top] * n)
+        want = vacuum(Statistics.BOSON)
+        for _ in range(n):
+            want = apply_creation(want, basis.modes[top])
+        assert st == want and list(st.terms) == [Monomial(((basis.modes[top], n),))]
+        assert basis.monomial((top,) * n) is next(iter(st.terms))
+        t = DenseTransform(basis, random_unitary(len(basis), seed=n))
+        assert_matches(substitute(st, t), reference_substitute(st, t))
+
+    def test_distinguishable_mode_held_twice(self):
+        basis = ModeBasis(internals=("h",), externals=("L", "R", "U"), species=(1, 2))
+        st = create(basis, Statistics.DISTINGUISHABLE, [4, 1, 1])
+        want = vacuum(Statistics.DISTINGUISHABLE)
+        for r in (1, 1, 4):
+            want = apply_creation(want, basis.modes[r])
+        assert st == want and dict(next(iter(st.terms)).entries)[basis.modes[1]] == 2
+        t = DenseTransform(basis, random_unitary(len(basis), seed=5))  # mixes the species
+        assert_matches(substitute(st, t), reference_substitute(st, t))
+
+    def test_fermion_sign_across_bit_63(self):
+        # 5 fermions pack 3 bits a mode, so rank 21 holds bits 63-65 of an 80-mode key
+        basis = ModeBasis(internals=("h", "v"), externals=tuple(f"p{k}" for k in range(40)))
+        ranks = [75, 2, 21, 20, 40]  # five inversions
+        st = create(basis, Statistics.FERMION, ranks)
+        want = vacuum(Statistics.FERMION)
+        for r in reversed(ranks):
+            want = apply_creation(want, basis.modes[r])
+        assert st == want and st.terms[next(iter(st.terms))] == -1.0
+        # each column sends k to k, 79 - k and 21, so images land on both sides and collide
+        rng = np.random.default_rng(21)
+        u = np.zeros((len(basis), len(basis)), dtype=complex)
+        for k in range(len(basis)):
+            for row in {k, 79 - k, 21}:
+                u[row, k] = complex(*rng.normal(size=2))
+        t = DenseTransform(basis, u)
+        got = substitute(st, t)
+        assert_matches(got, reference_substitute(st, t))
+        assert list(got.terms.items()) == list(insertion_substitute(st, t).terms.items())
 
 
 class TestOutcomeProbability:

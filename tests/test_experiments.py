@@ -1,6 +1,7 @@
 """Unit tests for the two-particle interferometers and the decoding bounds."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -223,6 +224,27 @@ class TestEntanglementOfTheState:
         for m in ms:
             assert np.linalg.svd(m, compute_uv=False)[1:] == pytest.approx([0.0] * 3, abs=1e-12)
         assert self.negativity(ms) == pytest.approx(0.0, abs=1e-12)
+
+    @staticmethod
+    def searched_chsh(capsys, name: str) -> float:
+        assert main(["chsh", str(EXAMPLES / f"{name}.cdl"), "--search", "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["chsh"]
+
+    @pytest.mark.parametrize("name", SAME)
+    def test_chsh_search_reaches_gisins_bound(self, capsys, name):
+        # a pure state of Schmidt rank <= 2 has CHSH <= 2 sqrt(1 + 4 l1^2 l2^2)
+        # (Gisin, PLA 154, 201 (1991)); the dials are local, so {} gives the coefficients
+        (m,) = self.components(name, {})
+        schmidt = np.linalg.svd(m / math.sqrt(0.5), compute_uv=False)
+        assert schmidt[2:] == pytest.approx([0.0] * 2, abs=1e-12)
+        bound = 2 * math.sqrt(1 + 4 * schmidt[0] ** 2 * schmidt[1] ** 2)
+        found = self.searched_chsh(capsys, name)
+        assert found <= bound + 1e-12
+        assert found == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+
+    def test_chsh_search_stays_classical_on_a_rank_one_mixture(self, capsys):
+        assert len(self.components("hh_distinguishable", {})) == 2
+        assert self.searched_chsh(capsys, "hh_distinguishable") <= 2.0
 
 
 class TestSwapCircuit:
