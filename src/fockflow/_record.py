@@ -29,9 +29,12 @@ class Record:
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
 
     def __init__(self, *values) -> None:
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__qualname__} takes {self._fields}, got {len(values)} values")
-        self.__dict__.update(zip(self._fields, values))
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes {fields}, got {len(values)} values")
+        d = self.__dict__
+        for name, value in zip(fields, values):  # a loop beats dict.update at these sizes
+            d[name] = value
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -114,8 +114,7 @@ class ModeBasis(Record):
     slots; ``slots`` maps a slot's (internal name, external name) to its
     position inside every block.  ``unpacked`` holds the monomials built
     from packed occupation vectors, one per occupation pattern and field
-    width; ``monomial`` packs a sorted tuple of basis indices first.
-    Equality, hash and repr read only the three label sets.
+    width.  Equality, hash and repr read only the three label sets.
     """
 
     _fields = ("internals", "externals", "species")
@@ -164,15 +163,6 @@ class ModeBasis(Record):
             return self._index[mode]
         except KeyError:
             raise UnknownMode(f"mode {mode} not in basis") from None
-
-    def monomial(self, ranks: tuple[int, ...]) -> "Monomial":
-        """The monomial of a sorted tuple of basis indices; repeats become occupations.
-
-        The ranks are packed at the width their own count needs and looked
-        up in ``unpacked``.
-        """
-        width = len(ranks).bit_length()
-        return self.unpacked(width)[sum(1 << r * width for r in ranks)]
 
     def unpacked(self, width: int) -> "_Unpacked":
         """The basis's memo of monomials by packed occupation vector at ``width``.

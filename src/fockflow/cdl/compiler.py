@@ -164,11 +164,11 @@ def rebin(compiled: CompiledCircuit, party: str, kind: str) -> MeasurementPartit
 
 def _compile_element(el, basis: ModeBasis) -> ModeTransform:
     """One element statement's transform; ``compile_circuit`` binds `$name` phases."""
+    if isinstance(el, PhaseStmt):
+        return phase_shifter(basis, el.port.name, el.arg.value)
     if isinstance(el, SplitterStmt):
         build = hybrid_beam_splitter if el.kind == "hbs" else beam_splitter
         return build(basis, el.in_a.name, el.in_b.name, el.out_t.name, el.out_r.name)
-    if isinstance(el, PhaseStmt):
-        return phase_shifter(basis, el.port.name, el.arg.value)
     if isinstance(el, (SorterStmt, ExchangeStmt)):
         routing = {r.src.name: r.dst.name for r in el.routes}
         if isinstance(el, SorterStmt) and el.selector == "internal":

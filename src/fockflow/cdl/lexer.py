@@ -4,22 +4,22 @@ Source is plain UTF-8 text. ``#`` starts a comment running to end of line.
 Tokens carry 1-based line/column positions pointing at their first
 character. A single ``end`` token is appended after the last real token.
 
-One pattern, ``_TOKEN``, is matched once per token at the current
-offset. Its prefix skips the run of blanks and ``#`` comments before the
-token; its one optional named group then says what starts there: a
-``$name`` parameter, the punctuation ``->``, ``=`` or ``:``, the start of a
-number (a digit, ``.``, ``-`` or the whole word ``pi``), a word, or any
-other character. At the end of input the group is empty, and the ``end``
-token goes there. Only the skipped prefix holds newlines, so the line
-count and the offset where the current line starts move over that span
-alone (only ``\n`` starts a line), and a token's column is its offset
-minus that line start, plus 1.
+One pattern, ``_TOKEN``, is matched once per token. Its prefix skips
+blanks other than a newline; its one optional named group then says what
+starts there: a word, a newline, a plain decimal literal (one minus sign
+at most, no ``*`` or ``/`` after it: ``float`` reads it), a comment, a
+``$name`` parameter, the punctuation ``->``, ``=`` or ``:``, the start of
+any other number, or any other character. Only a newline starts a line:
+each one counts a line and moves the line start, and a column is an
+offset minus the line start, plus 1. The ``end`` token goes where the
+group matches nothing.
 
 Numbers are constant expressions folded at lex time: a chain of terms
 joined by ``*`` or ``/``, each term an optionally negated decimal literal
-or the word ``pi``. The chain must be written without internal whitespace
-(``pi/4``, ``-3*pi/2``, ``0.25``, ``1e-3``). Because ``pi`` always lexes
-as a number, it is not available as a label name.
+or the word ``pi``, written without internal whitespace (``pi/4``,
+``-3*pi/2``, ``1e-3``). ``_constant`` folds each number that is not a
+plain literal, and the scan resumes where it stops. Because ``pi`` always
+lexes as a number, it is not available as a label name.
 """
 
 from __future__ import annotations
@@ -34,11 +34,15 @@ KEYWORDS = frozenset(
 _WORD = r"[A-Za-z_][A-Za-z0-9_]*"
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TOKEN = re.compile(
-    r"(?:\s|#[^\n]*)*"
-    rf"(?:(?P<param>\$(?:{_WORD})?)"
+    r"[^\S\n]*"
+    rf"(?:(?P<word>(?!pi(?![A-Za-z0-9_])){_WORD})"
+    r"|(?P<newline>\n)"
+    # a literal that ends where _FLOAT stops, and is no term of a chain
+    rf"|(?P<literal>-?{_FLOAT}(?![*/\d.eE]))"
+    r"|(?P<comment>#[^\n]*)"
+    rf"|(?P<param>\$(?:{_WORD})?)"
     r"|(?P<punctuation>->|[=:])"
-    r"|(?P<number>[\d.-]|pi(?![A-Za-z0-9_]))"
-    rf"|(?P<word>{_WORD})"
+    r"|(?P<number>[\d.-]|pi)"
     r"|(?P<other>.))?"
 )
 # a term of a constant: minus signs, then a decimal literal or a word
@@ -86,39 +90,43 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     out: list[Token] = []
+    append = out.append
     pos, line, line_start = 0, 1, 0
-    while True:
-        m = _TOKEN.match(source, pos)
-        kind = m.lastgroup
-        start = m.start(kind) if kind else m.end()
-        newlines = source.count("\n", pos, start)
-        if newlines:
-            line += newlines
-            line_start = source.rindex("\n", pos, start) + 1
-        col = start - line_start + 1
-        if kind is None:
-            break
-        text = m.group(kind)
-        if kind == "param":
-            if text == "$":
-                raise LexError("'$' must introduce a parameter name", line, col)
-            out.append(Token("identifier", text, line, col))
-        elif kind == "punctuation":
-            out.append(Token(kind, text, line, col))
-        elif kind == "number":
-            value, end = _constant(source, start, line, col)
-            out.append(Token(kind, source[start:end], line, col, value=value))
-            pos = end
-            continue
-        elif kind == "word":
-            out.append(Token("keyword" if text in KEYWORDS else "identifier", text, line, col))
-        elif text.isdigit():  # a digit that is not decimal, such as "²"
-            raise LexError("expected a number", line, col)
-        else:
-            raise LexError(f"illegal character {text!r}", line, col)
-        pos = m.end()
-    out.append(Token("end", "", line, col))
-    return out
+    while True:  # a new scan after each number that ``_constant`` folds
+        for m in _TOKEN.finditer(source, pos):
+            kind = m.lastgroup
+            if kind == "newline":
+                line += 1
+                line_start = m.end()
+                continue
+            if kind is None:
+                append(Token("end", "", line, m.end() - line_start + 1))
+                return out
+            start, text = m.start(kind), m[kind]
+            col = start - line_start + 1
+            if kind == "word":
+                append(Token("keyword" if text in KEYWORDS else "identifier", text, line, col))
+            elif kind == "literal":
+                value = float(text)
+                if not math.isfinite(value):
+                    raise LexError("number is not finite", line, col)
+                append(Token("number", text, line, col, value))
+            elif kind == "comment":
+                pass
+            elif kind == "param":
+                if text == "$":
+                    raise LexError("'$' must introduce a parameter name", line, col)
+                append(Token("identifier", text, line, col))
+            elif kind == "punctuation":
+                append(Token(kind, text, line, col))
+            elif kind == "number":
+                value, pos = _constant(source, start, line, col)
+                append(Token(kind, source[start:pos], line, col, value))
+                break
+            elif text.isdigit():  # a digit that is not decimal, such as "²"
+                raise LexError("expected a number", line, col)
+            else:
+                raise LexError(f"illegal character {text!r}", line, col)
 
 
 def _constant(source: str, pos: int, line: int, col: int) -> tuple[float, int]:

@@ -104,6 +104,11 @@ class CircuitSpecTree(Record):
 _STATEMENT_HEADS = KEYWORDS - {"bin"}
 
 
+def _unexpected(t: Token, want: str) -> ParseError:
+    found = repr(t.text) if t.text else "end of input"
+    return ParseError(f"expected {want}, found {found}", t.line, t.col)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
@@ -125,15 +130,13 @@ class _Parser:
     def expect(self, kind: str, text: str | None = None) -> Token:
         t = self.peek()
         if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            found = repr(t.text) if t.text else "end of input"
-            self.fail(f"expected {want}, found {found}")
+            raise _unexpected(t, text if text is not None else kind)
         return self.advance()
 
     def label(self) -> LabelRef:
         t = self.toks[self.i]
         if t.kind != "identifier":
-            self.expect("identifier")
+            raise _unexpected(t, "identifier")
         self.i += 1
         return LabelRef(t.text, t.line, t.col)
 
@@ -156,21 +159,50 @@ class _Parser:
 
 
 def parse(tokens: list[Token]) -> CircuitSpecTree:
-    p = _Parser(tokens)
+    p, i = _Parser(tokens), 0
     internals = externals = None
     statistics = None
     particles: list[ParticleDecl] = []
     elements: list = []
     measures: list[MeasureStmt] = []
 
-    while p.peek().kind != "end":
-        head = p.peek()
-        if head.kind != "keyword" or head.text not in _STATEMENT_HEADS:
-            p.fail(f"expected a statement keyword, found {head.text!r}")
-        p.advance()
-        if head.text in ("internal", "external"):
+    while True:
+        head = tokens[i]
+        text = head.text
+        if head.kind != "keyword" or text not in _STATEMENT_HEADS:
+            if head.kind == "end":
+                break
+            raise ParseError(f"expected a statement keyword, found {text!r}", head.line, head.col)
+        # phase and bs/hbs, nearly every mesh statement, read their operands by index
+        if text == "phase":
+            port = tokens[i + 1]
+            if port.kind != "identifier":
+                raise _unexpected(port, "identifier")
+            t = tokens[i + 2]
+            if t.kind == "number":
+                arg = PhaseArg(t.value)
+            elif t.kind == "identifier" and t.text.startswith("$"):
+                arg = PhaseArg(None, t.text[1:])
+            else:
+                raise ParseError("expected a phase value or $parameter", t.line, t.col)
+            elements.append(PhaseStmt(LabelRef(port.text, port.line, port.col), arg))
+            i += 3
+            continue
+        if text == "bs" or text == "hbs":
+            ports = tokens[i + 1 : i + 5]
+            for n, t in enumerate(ports):
+                if t.kind != "identifier":
+                    if t.kind == "end" or (t.kind == "keyword" and t.text in _STATEMENT_HEADS):
+                        short = f"{text} takes four ports, in_a in_b out_t out_r; {n} given"
+                        raise ParseError(short, head.line, head.col)
+                    raise _unexpected(t, "identifier")
+            elements.append(SplitterStmt(text, *[LabelRef(t.text, t.line, t.col) for t in ports]))
+            i += 5
+            continue
+        p.i = i + 1
+        if text in ("internal", "external"):
             decl = p.labels()
-            if head.text == "internal":
+            if text == "internal":
                 if internals is not None:
                     raise SemanticError("duplicate internal declaration", head.line, head.col)
                 internals = decl
@@ -178,7 +210,7 @@ def parse(tokens: list[Token]) -> CircuitSpecTree:
                 if externals is not None:
                     raise SemanticError("duplicate external declaration", head.line, head.col)
                 externals = decl
-        elif head.text == "statistics":
+        elif text == "statistics":
             t = p.expect("identifier")
             if t.text not in STATISTICS_NAMES:
                 raise SemanticError(
@@ -189,34 +221,9 @@ def parse(tokens: list[Token]) -> CircuitSpecTree:
             if statistics is not None:
                 raise SemanticError("duplicate statistics declaration", head.line, head.col)
             statistics = t.text
-        elif head.text == "particle":
+        elif text == "particle":
             particles.append(ParticleDecl(p.label(), p.label()))
-        elif head.text in ("hbs", "bs"):
-            ports = []
-            while len(ports) < 4:
-                t = p.peek()
-                if t.kind == "end" or (t.kind == "keyword" and t.text in _STATEMENT_HEADS):
-                    raise ParseError(
-                        f"{head.text} takes four ports, in_a in_b out_t out_r;"
-                        f" {len(ports)} given",
-                        head.line,
-                        head.col,
-                    )
-                ports.append(p.label())
-            elements.append(SplitterStmt(head.text, *ports))
-        elif head.text == "phase":
-            port = p.label()
-            t = p.peek()
-            if t.kind == "number":
-                p.advance()
-                arg = PhaseArg(value=t.value)
-            elif t.kind == "identifier" and t.text.startswith("$"):
-                p.advance()
-                arg = PhaseArg(param=t.text[1:])
-            else:
-                p.fail("expected a phase value or $parameter")
-            elements.append(PhaseStmt(port, arg))
-        elif head.text == "sorter":
+        elif text == "sorter":
             t = p.peek()
             if t.kind == "keyword" and t.text in ("internal", "external"):
                 p.advance()
@@ -226,9 +233,9 @@ def parse(tokens: list[Token]) -> CircuitSpecTree:
                 elements.append(SorterStmt("internal", p.label(), p.routes()))
             else:
                 elements.append(SorterStmt("external", None, p.routes()))
-        elif head.text == "exchange":
+        elif text == "exchange":
             elements.append(ExchangeStmt(p.routes()))
-        elif head.text == "measure":
+        elif text == "measure":
             t = p.expect("identifier")
             if t.text not in PARTIES:
                 raise SemanticError(
@@ -243,8 +250,9 @@ def parse(tokens: list[Token]) -> CircuitSpecTree:
             while p.peek().kind == "keyword" and p.peek().text == "bin":
                 bins.append(_parse_bin(p))
             measures.append(MeasureStmt(t.text, k.text, tuple(bins)))
+        i = p.i
 
-    end = p.peek()
+    end = head
     if statistics is None:
         raise SemanticError("missing statistics declaration", end.line, end.col)
     if internals is None:
@@ -321,11 +329,11 @@ def _validate(tree: CircuitSpecTree):
         occupied.add(mode)
 
     for el in tree.elements:
-        if isinstance(el, SplitterStmt):
+        if isinstance(el, PhaseStmt):
+            need(el.port, externals, "external")
+        elif isinstance(el, SplitterStmt):
             for ref in (el.in_a, el.in_b, el.out_t, el.out_r):
                 need(ref, externals, "external")
-        elif isinstance(el, PhaseStmt):
-            need(el.port, externals, "external")
         elif isinstance(el, SorterStmt):
             if el.selector == "internal":
                 need(el.port, externals, "external")

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 COLUMN_DROP_TOLERANCE = 1e-14
+_TRANSMIT, _REFLECT = 1 / math.sqrt(2.0), 1j / math.sqrt(2.0)  # balanced splitter amplitudes
 
 
 class DuplicatePort(ValueError):
@@ -101,21 +102,23 @@ class ModeTransform(Record):
 
 
 def _slot_element(basis: ModeBasis, moves: dict) -> ModeTransform:
-    """The element sending each moved slot to its images, on every species alike.
+    """The permutation sending each moved slot to its image, on every species alike.
 
     ``moves`` maps an (internal, external) name pair to its (output pair,
     amplitude) images; slots it does not name pass through.  The result is
-    one slot map over ``basis.slots``, whatever the species count.
+    one slot map over ``basis.slots``, whatever the species count.  The
+    sorter and the exchange wiring build through it; the phase shifter and
+    the splitters key their maps by slot index directly.
     """
     slots = basis.slots
     images = {slots[src]: tuple((slots[dst], amp) for dst, amp in out) for src, out in moves.items()}
     return ModeTransform(basis, (images,))
 
 
-def _external(basis: ModeBasis, name: str) -> str:
-    if name not in basis.externals:
-        raise UnknownMode(f"external label {name!r} not declared (have {basis.externals})")
-    return name
+def _external(basis: ModeBasis, *names: str) -> None:
+    for name in names:
+        if name not in basis.externals:
+            raise UnknownMode(f"external label {name!r} not declared (have {basis.externals})")
 
 
 def phase_shifter(basis: ModeBasis, port: str, phase: float) -> ModeTransform:
@@ -128,15 +131,17 @@ def phase_shifter(basis: ModeBasis, port: str, phase: float) -> ModeTransform:
     if not math.isfinite(phase):
         raise ValueError(f"phase at port {port!r} must be finite, got {phase}")
     factor = cmath.exp(1j * phase)
-    moves = {(il, port): [((il, port), factor)] for il in basis.internals}
-    return _slot_element(basis, moves)
+    slots, images = basis.slots, {}
+    for il in basis.internals:
+        k = slots[il, port]
+        images[k] = ((k, factor),)
+    return ModeTransform(basis, (images,))
 
 
 def _splitter(basis, in_a, in_b, out_t, out_r, flip):
     out_t = in_a if out_t is None else out_t
     out_r = in_b if out_r is None else out_r
-    for p in (in_a, in_b, out_t, out_r):
-        _external(basis, p)
+    _external(basis, in_a, in_b, out_t, out_r)
     if in_a == in_b or out_t == out_r:
         raise DuplicatePort(f"splitter ports must differ: in ({in_a},{in_b}) out ({out_t},{out_r})")
     ins, outs = {in_a, in_b}, {out_t, out_r}
@@ -145,19 +150,18 @@ def _splitter(basis, in_a, in_b, out_t, out_r, flip):
             f"output ports must reuse both input ports or neither: {sorted(ins)} vs {sorted(outs)}"
         )
 
-    flip = flip or {il: il for il in basis.internals}
-    t, r = 1 / math.sqrt(2.0), 1j / math.sqrt(2.0)
+    t, r = _TRANSMIT, _REFLECT
     # (input port, transmitted port, reflected port); disjoint output pairs
     # get the reverse direction filled with the same mixer to stay unitary
     routes = [(in_a, out_t, out_r), (in_b, out_r, out_t)]
     if ins != outs:
         routes += [(out_t, in_a, in_b), (out_r, in_b, in_a)]
-    moves = {
-        (il, port): [((il, p_t), t), ((flip[il], p_r), r)]
-        for il in basis.internals
-        for port, p_t, p_r in routes
-    }
-    return _slot_element(basis, moves)
+    slots, images = basis.slots, {}
+    for il in basis.internals:
+        fl = flip[il] if flip else il
+        for port, p_t, p_r in routes:
+            images[slots[il, port]] = ((slots[il, p_t], t), (slots[fl, p_r], r))
+    return ModeTransform(basis, (images,))
 
 
 def beam_splitter(basis, in_a, in_b, out_t=None, out_r=None):
@@ -202,8 +206,7 @@ def dof_sorter(basis: ModeBasis, routing: dict, port: str):
     if missing:
         raise IncompleteRouting(f"internal labels without a route: {missing}")
     targets = [routing[s] for s in basis.internals]
-    for tgt in targets:
-        _external(basis, tgt)
+    _external(basis, *targets)
     if len(set(targets)) != len(targets):
         raise NotBijective(f"internal sorter targets must be distinct: {targets}")
     moves = {}
@@ -223,8 +226,7 @@ def exchange_wiring(basis: ModeBasis, relabel: dict) -> ModeTransform:
     permutation moving slot (s, e) -> (s, complete[e]), in every species.
     """
     for k, v in relabel.items():
-        _external(basis, k)
-        _external(basis, v)
+        _external(basis, k, v)
     complete = dict(relabel)
     if len(set(complete.values())) != len(complete):
         raise NotBijective(f"relabel targets repeat: {relabel}")

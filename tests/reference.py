@@ -4,7 +4,8 @@
 order of a mode, and ``is_canonical`` checks that a monomial lists its
 modes strictly increasing in it with positive occupations.  ``vacuum`` is
 the state |0> of a statistics and ``add`` sums two states term by term;
-tests build states from them.
+tests build states from them.  ``monomial`` looks up a sorted tuple of
+basis indices in the basis's own memo, ``basis.unpacked``.
 
 ``canonicalize`` is the reference's own reordering rule: an insertion
 sort over ``Mode`` objects by ``order_key`` that counts adjacent swaps,
@@ -62,10 +63,12 @@ rational arithmetic, over every readout string (2^n of them), where
 ``experiments.signaling_decode_exact`` uses the closed form.
 
 ``reference_tokenize`` matches a pattern twice per token, once for the
-token and once for the run of blanks and comments after it, and counts
-lines inside that run; ``cdl.tokenize`` skips the run as its one match's
-prefix.  The two share only ``Token``, ``LexError``, ``KEYWORDS`` and the
-constant folder ``_constant``.
+token and once for the run of blanks and comments after it, counts lines
+inside that run, and folds every number with ``_constant``;
+``cdl.tokenize`` matches each newline and each comment on its own, skips
+only the other blanks, and reads a plain decimal literal with ``float``.
+The two share only ``Token``, ``LexError``, ``KEYWORDS`` and the constant
+folder ``_constant``.
 """
 
 import itertools
@@ -77,7 +80,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fockflow.algebra import Mode, Monomial, StateVector, Statistics, norm_squared
+from fockflow.algebra import Mode, ModeBasis, Monomial, StateVector, Statistics, norm_squared
 from fockflow.analysis import CoincidenceTable
 from fockflow.cdl.lexer import KEYWORDS, LexError, Token, _constant
 from fockflow.elements import COLUMN_DROP_TOLERANCE, ModeTransform
@@ -90,6 +93,16 @@ def order_key(mode: Mode) -> tuple[int, int, int]:
 def is_canonical(mono: Monomial) -> bool:
     keys = [order_key(m) for m, _ in mono.entries]
     return all(a < b for a, b in zip(keys, keys[1:])) and all(occ >= 1 for _, occ in mono.entries)
+
+
+def monomial(basis: ModeBasis, ranks: tuple[int, ...]) -> Monomial:
+    """The monomial of a sorted tuple of basis indices; repeats become occupations.
+
+    The ranks are packed at the width their own count needs and looked up
+    in ``basis.unpacked(width)``, so the result is the basis's shared object.
+    """
+    width = len(ranks).bit_length()
+    return basis.unpacked(width)[sum(1 << r * width for r in ranks)]
 
 
 def vacuum(statistics: Statistics) -> StateVector:

@@ -40,6 +40,7 @@ from fockflow.experiments import TABLE_KINDS
 import circuits
 from printer import pretty_print
 from reference import apply_creation, dense, dense_product, reference_tokenize, vacuum
+from test_elements import mesh_source
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ROOT / "src" / "fockflow" / "examples"
@@ -115,6 +116,16 @@ LEX_PIECES = (
     "1e-3",
     "1e999",
     "1e308*10",
+    # literal shapes that ``float`` reads, and chains that ``_constant`` folds
+    "6.123233995736766e-17",
+    "1e-05",
+    "5.",
+    "-0.0",
+    "-.5",
+    "1E+5",
+    "0.5*",
+    "2/",
+    "1e999*0",
     "pi",
     "pin",
     "pi2",
@@ -246,6 +257,14 @@ class TestLexer:
                 return (str(e), e.line, e.col)
 
         assert scan(tokenize) == scan(reference_tokenize)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_the_reference_tokenizer_on_meshes_and_bundled_files(self, n):
+        sources = [mesh_source(n, random.Random(n + k)) for k in range(3)]
+        sources += [p.read_text() for p in sorted(EXAMPLES.glob("*.cdl"))]
+        for source in sources:
+            got = [(t.kind, t.text, t.line, t.col, repr(t.value)) for t in tokenize(source)]
+            assert got == [(t.kind, t.text, t.line, t.col, repr(t.value)) for t in reference_tokenize(source)]
 
 
 class TestParser:

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +323,41 @@ class TestSwapUnderOtherStatistics:
         f.write_text(swap_source(statistics))
         assert main(["chsh", str(f), "--search"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == last_line
+
+
+OVERLAP_DRAWS = tuple(random.Random(20).uniform(0.0, 2.0 * math.pi) for _ in range(8))
+
+
+class TestPartialDistinguishability:
+    """``tests/cdl/hh_partial.cdl``: the left particle arrives early with amplitude sin(theta/2).
+
+    Only the early parts of the two particles overlap, and the bins merge
+    each port with its late copy, so the Bell correlation of the
+    indistinguishable particles scales with the overlap probability:
+    CHSH = 2*sqrt(2)*sin^2(theta/2) at the default dials.  Distinguishable
+    particles never interfere, at any overlap.
+    """
+
+    PATH = Path(__file__).resolve().parent / "cdl" / "hh_partial.cdl"
+    THETAS = (0.0, math.pi / 4, math.pi / 2, math.pi, *OVERLAP_DRAWS)
+
+    def chsh(self, capsys, path, theta):
+        assert main(["chsh", str(path), "--param", f"theta={theta!r}", "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["chsh"]
+
+    def test_the_file_holds_26_statements(self):
+        lines = self.PATH.read_text().splitlines()
+        assert len([line for line in lines if line and not line.startswith("#")]) == 26
+
+    @pytest.mark.parametrize("statistics", ["boson", "fermion", "distinguishable"])
+    def test_chsh_follows_the_overlap(self, capsys, tmp_path, statistics):
+        path = tmp_path / f"hh_partial_{statistics}.cdl"
+        path.write_text(self.PATH.read_text().replace("statistics boson", f"statistics {statistics}"))
+        for theta in self.THETAS:
+            want = 2.0 * math.sqrt(2.0) * math.sin(theta / 2) ** 2
+            if statistics == "distinguishable":
+                want = 0.0
+            assert abs(self.chsh(capsys, path, theta) - want) <= 1e-12, theta
 
 
 class TestPartitions:

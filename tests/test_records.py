@@ -5,7 +5,7 @@ deleted, equality and hash read a fixed tuple of fields, and the repr
 lists those fields.  A record built from the wrong number of values
 raises ``TypeError`` naming its class.  Bound stages and monomials are
 shared across runs (``CompiledCircuit.bind``'s LRU and
-``ModeBasis.monomial``), so a write through one of them would reach every
+``ModeBasis.unpacked``), so a write through one of them would reach every
 later run.  The lexer's ``Token`` is the one mutable record; it and
 ``StateVector``, whose terms are a dict, are unhashable.
 """
@@ -36,6 +36,7 @@ from fockflow.cdl.parser import (
 )
 from fockflow.elements import beam_splitter
 from fockflow.experiments import QubitState, run_circuit
+from reference import monomial
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "src" / "fockflow" / "examples"
 
@@ -53,7 +54,7 @@ READ_ONLY = [
     (Label("down", 0), "name"),
     (BASIS.modes[1], "internal"),
     (BASIS, "internals"),
-    (BASIS.monomial((0, 1)), "entries"),
+    (monomial(BASIS, (0, 1)), "entries"),
     (beam_splitter(BASIS, "L", "R"), "maps"),
     (compile_circuit(TREE), "stages"),
     (MeasurementPartition("A", "external", (("L", frozenset({(0, 0)})),)), "bins"),
