@@ -2,9 +2,12 @@
 
 A subclass names its compared fields, in order, in ``_fields``.
 ``Record.__init__`` takes one value per field, by position only, stores
-them in the instance ``__dict__`` and raises ``TypeError``, naming the
-class, on a wrong count.  A subclass writes its own only for checks,
-caches, defaults or extra state, and it too writes into ``__dict__``.
+them through ``object.__setattr__`` (``_store``) and raises
+``TypeError``, naming the class, on a wrong count.  Storing that way
+builds no instance ``__dict__`` until one is read, which halves the
+objects a parsed tree leaves for the collector.  A subclass writes its
+own only for checks, caches, defaults or extra state, and it too stores
+through ``_store`` or writes into ``__dict__``.
 Equality, hash and repr read the tuple of ``_fields`` values alone;
 comparing with another class gives ``NotImplemented``.  Assigning or
 deleting any attribute raises ``AttributeError``.  An instance pickles by
@@ -15,6 +18,8 @@ lexer's ``Token`` is the one mutable record, a ``__slots__`` class.
 from operator import attrgetter
 
 __all__ = ["Record"]
+
+_store = object.__setattr__  # bypasses Record.__setattr__, which refuses every write
 
 
 class Record:
@@ -32,9 +37,8 @@ class Record:
         fields = self._fields
         if len(values) != len(fields):
             raise TypeError(f"{type(self).__qualname__} takes {fields}, got {len(values)} values")
-        d = self.__dict__
-        for name, value in zip(fields, values):  # a loop beats dict.update at these sizes
-            d[name] = value
+        for name, value in zip(fields, values):
+            _store(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -25,7 +25,7 @@ tree compares equal to the original.
 
 from __future__ import annotations
 
-from .._record import Record
+from .._record import Record, _store
 from ..algebra import Statistics
 from .lexer import KEYWORDS, CdlError, Token, tokenize
 
@@ -47,8 +47,9 @@ class LabelRef(Record):
     _fields = ("name",)
 
     def __init__(self, name: str, line: int = 0, col: int = 0) -> None:
-        d = self.__dict__
-        d["name"], d["line"], d["col"] = name, line, col
+        _store(self, "name", name)
+        _store(self, "line", line)
+        _store(self, "col", col)
 
 
 class PhaseArg(Record):
@@ -57,8 +58,8 @@ class PhaseArg(Record):
     _fields = ("value", "param")
 
     def __init__(self, value: float | None = None, param: str | None = None) -> None:
-        d = self.__dict__
-        d["value"], d["param"] = value, param
+        _store(self, "value", value)
+        _store(self, "param", param)
 
 
 class Route(Record):
