@@ -103,11 +103,13 @@ def compile_circuit(tree: CircuitSpecTree) -> CompiledCircuit:
     stages, params = [], []
     for k, el in enumerate(tree.elements):
         try:
-            if isinstance(el, PhaseStmt) and el.arg.param is not None:
+            if not isinstance(el, PhaseStmt):
+                stages.append(_compile_element(el, basis))
+            elif el.arg.param is None:
+                stages.append(phase_shifter(basis, el.port.name, el.arg.value))
+            else:
                 params.append((k, el.arg.param, el.port.name))
                 stages.append(bind(el.port.name, 0.0))
-            else:
-                stages.append(_compile_element(el, basis))
         except ValueError as e:  # a builder's complaint, placed at the statement
             at = getattr(el, "in_a", None) or getattr(el, "port", None) or el.routes[0].src
             raise SemanticError(str(e), at.line, at.col) from e
@@ -163,9 +165,7 @@ def rebin(compiled: CompiledCircuit, party: str, kind: str) -> MeasurementPartit
 
 
 def _compile_element(el, basis: ModeBasis) -> ModeTransform:
-    """One element statement's transform; ``compile_circuit`` binds `$name` phases."""
-    if isinstance(el, PhaseStmt):
-        return phase_shifter(basis, el.port.name, el.arg.value)
+    """One element statement's transform; ``compile_circuit`` builds the phases."""
     if isinstance(el, SplitterStmt):
         build = hybrid_beam_splitter if el.kind == "hbs" else beam_splitter
         return build(basis, el.in_a.name, el.in_b.name, el.out_t.name, el.out_r.name)
